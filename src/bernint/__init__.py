@@ -2,8 +2,9 @@
 
 Closed-form and recurrence evaluation of integral_0^x B_{k_1}(z)...B_{k_r}(z) dz
 over exact rationals, verified against a brute-force polynomial-expansion
-oracle.  Hot loops run on a compiled Cython kernel when the extension is
-available, with a pure-Python fallback selected at import.
+oracle.  The package is pure Python: the closed form runs on one exact
+integer kernel (`bernint.kernels`) that multiplies one small polynomial per
+index, so no compiler or extension is involved.
 """
 
 from .bernoulli import (
@@ -31,7 +32,7 @@ from .integrals import (
     three_factor_formula,
     two_factor_formula,
 )
-from .kernels import active_backend, available_backends, use_backend
+from .kernels import active_backend
 
 __version__ = "0.1.0"
 
@@ -44,7 +45,6 @@ __all__ = [
     "Rational",
     "ScaledValue",
     "active_backend",
-    "available_backends",
     "bernoulli_number",
     "bernoulli_polynomial",
     "binomial",
@@ -64,5 +64,4 @@ __all__ = [
     "three_factor_at_one",
     "three_factor_formula",
     "two_factor_formula",
-    "use_backend",
 ]

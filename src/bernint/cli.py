@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import statistics
 import sys
@@ -93,20 +94,10 @@ def _integral_value(spec: IntegralSpec, method: str) -> Fraction:
         if mu < 1:
             raise _UsageError(f"recurrence depth must be >= 1, got {mu}")
         scaled = recurrence_integral(spec.ks, spec.upper, mu)
-        scale = 1
-        for k in spec.ks:
-            scale *= _factorial(k)
-        return scaled * scale
+        return scaled * math.prod(map(math.factorial, spec.ks))
     if method == "auto":
         return _auto_value(spec)
     raise _UsageError(f"unknown method {method!r}")
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _auto_value(spec: IntegralSpec) -> Fraction:
@@ -163,6 +154,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    for flag, bound in (("--max-sum", args.max_sum), ("--max-r", args.max_r)):
+        if bound < 0:
+            raise _UsageError(f"{flag} must be >= 0, got {bound}")
     report: VerificationReport = run_suite(args.suite, args.max_sum, args.max_r)
     record = {"command": "verify", **report.to_dict()}
     lines = [
@@ -184,8 +178,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise _UsageError("--method must name at least one method")
-    if args.backend != "auto":
-        kernels.use_backend(args.backend)
 
     results = []
     for method in methods:
@@ -284,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="closed,oracle",
                    help="comma-separated methods to compare (default: closed,oracle)")
     p.add_argument("--reps", type=int, default=5, help="repetitions per method (default: 5)")
-    p.add_argument("--backend", choices=("auto", "pure", "compiled"), default="auto",
-                   help="kernel backend to use (default: auto)")
     add_format(p)
     p.set_defaults(func=_cmd_bench)
 

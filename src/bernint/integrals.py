@@ -18,12 +18,15 @@ The specialized two-, three- and four-factor formulas (`two_factor_formula`,
 `norlund_value`, `three_factor_formula`, `three_factor_at_one`,
 `four_factor_at_one`, `four_factor_even_sum`) are the classical shapes those
 sums collapse to; all of them are swept against the oracle by the
-verification suites.  Everything is exact: inputs and outputs are Fractions.
+verification suites.  Everything is exact: index tuples hold nonnegative
+ints, upper limits are ints or Fractions (a float or a bool is rejected with
+ValueError), and results are Fractions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -60,9 +63,22 @@ def _check_indices(ks: Sequence[int]) -> tuple[int, ...]:
     if not ks:
         raise ValueError("need at least one polynomial index")
     for k in ks:
-        if k < 0:
-            raise ValueError(f"polynomial indices must be nonnegative, got {ks}")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"polynomial indices must be nonnegative ints, got {ks!r}")
     return ks
+
+
+def _check_upper(upper: Scalar) -> Fraction:
+    """The upper limit as a Fraction; only an int or a Fraction is accepted.
+
+    A float is rejected rather than converted: Fraction(0.1) is the binary
+    float's exact value, not 1/10.
+    """
+    if isinstance(upper, Fraction):
+        return upper
+    if isinstance(upper, int) and not isinstance(upper, bool):
+        return Fraction(upper)
+    raise ValueError(f"the upper limit must be an int or a Fraction, got {upper!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +90,7 @@ class IntegralSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ks", _check_indices(self.ks))
-        object.__setattr__(self, "upper", Fraction(self.upper))
+        object.__setattr__(self, "upper", _check_upper(self.upper))
 
     @property
     def r(self) -> int:
@@ -196,7 +212,8 @@ def oracle_integral(
     cache: BernoulliCache | None = None,
 ) -> Fraction:
     """Brute-force value of the integral from 0 to `upper`."""
-    return oracle_integral_poly(ks, cache)(Fraction(upper))
+    upper = _check_upper(upper)
+    return oracle_integral_poly(ks, cache)(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +229,7 @@ def c_term(
 ) -> Fraction:
     """Boundary term C (or C~ when scaled) for the given index tuple."""
     ks = _check_indices(ks)
-    upper = Fraction(upper)
+    upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     xnum, xden, onum, oden = _scaled_tables(upper, max(ks), cache)
     at_x = Fraction(1)
@@ -241,9 +258,11 @@ def closed_form_integral(
     any i_j > k_j carry weight 0 by the extended-zero convention, so the
     sum is really over the box 0 <= i_j <= k_j.  For r = 1 the box is
     empty and the sum degenerates to (B_{k+1}(x) - B_{k+1})/(k+1)!.
+    `kernels.closed_form_sum` evaluates the sum without walking the box, as
+    a product of one integer polynomial per head index k_1, ..., k_{r-1}.
     """
     ks = _check_indices(ks)
-    upper = Fraction(upper)
+    upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     tables = _scaled_tables(upper, sum(ks) + 1, cache)
     num, den = kernels.closed_form_sum(ks, *tables)
@@ -284,21 +303,12 @@ def closed_form_integral_poly(
             if i and c:  # constant term dropped: that is the -B_{k_1}...B_{k_r} part
                 acc[i] += Fraction(sign * c, den)
 
-    for comp in _box_compositions(heads):
+    # only the box 0 <= i_j <= k_j survives the extended-zero convention
+    for comp in itertools.product(*(range(k + 1) for k in heads)):
         a = sum(comp)
         add_term(comp, a, multinomial(a, comp))
 
     return Polynomial(acc) * _factorial_product(ks)
-
-
-def _box_compositions(heads: tuple[int, ...]):
-    """All (i_1,...,i_{r-1}) with 0 <= i_j <= k_j; the terms that survive."""
-    if not heads:
-        yield ()
-        return
-    for i in range(heads[0] + 1):
-        for rest in _box_compositions(heads[1:]):
-            yield (i,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +353,7 @@ def recurrence_integral(
     ks = _check_indices(ks)
     if mu < 1:
         raise ValueError(f"mu must be >= 1 (got {mu})")
-    upper = Fraction(upper)
+    upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     heads, kr = ks[:-1], ks[-1]
 
@@ -383,7 +393,7 @@ def two_factor_formula(
     """I_{k,m}(x) as the single alternating binomial sum over boundary pairs."""
     ks = _check_indices((k, m))
     k, m = ks
-    upper = Fraction(upper)
+    upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     xnum, xden, onum, oden = _scaled_tables(upper, k + m + 1, cache)
 
@@ -421,7 +431,7 @@ def three_factor_formula(
     """I_{n,m,k}(x) via the double binomial sum over boundary triples."""
     ks = _check_indices((n, m, k))
     n, m, k = ks
-    upper = Fraction(upper)
+    upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     acc = Fraction(0)
     for a in range(n + m + 1):
@@ -496,6 +506,56 @@ def four_factor_even_sum(
     return acc
 
 
+def _four_factor_case_terms(
+    ks: tuple[int, int, int, int], cache: BernoulliCache, first_a: int = 0
+) -> dict[str, Fraction]:
+    """The parity-case terms A-D of the four-factor formula, evaluated separately.
+
+    A, B and C are the case sums in which the first, second or third reduced
+    index is the odd one (pinned to 1), summed over a >= `first_a`; D is the
+    closed term for the all-odd cell.  `four_factor_at_one` adds them up.
+    """
+    k1, k2, k3, k4 = ks
+    top = k1 + k2 + k3 + k4 + 1  # the largest index any term reads
+    table = [_btilde(n, cache) for n in range(top + 1)]
+
+    def btil(n: int) -> Fraction:
+        return table[n] if n >= 0 else Fraction(0)
+
+    def case_sum(lead: int, pair_hi: int, other: int) -> Fraction:
+        # lead plays the role of the index pinned to 1; the inner binomial
+        # sum runs over the split of the remaining budget a - lead + 1.
+        acc = Fraction(0)
+        for a in range(first_a, k1 + k2 + k3 + 1):
+            bt = btil(k4 + a + 1)
+            if bt == 0:
+                continue
+            w = binomial(a, lead - 1)
+            if w == 0:
+                continue
+            inner = Fraction(0)
+            for i in range(a - lead + 2):
+                inner += (
+                    binomial(a - lead + 1, i) * btil(other - i) * btil(pair_hi + i - a - 1)
+                )
+            acc += (bt if a % 2 == 0 else -bt) * w * inner
+        return acc
+
+    d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
+    d_term = (
+        Fraction(d_sign, 2)
+        * binomial(k1 + k2 + k3 - 3, k1 - 1)
+        * binomial(k2 + k3 - 2, k2 - 1)
+        * btil(k1 + k2 + k3 + k4 - 2)
+    )
+    return {
+        "A": case_sum(k1, k1 + k2, k3),
+        "B": case_sum(k2, k2 + k3, k1),
+        "C": case_sum(k3, k2 + k3, k1),
+        "D": d_term,
+    }
+
+
 def four_factor_at_one(
     k1: int,
     k2: int,
@@ -508,8 +568,8 @@ def four_factor_at_one(
 
     The case analysis splits the symmetrized triple sum by which of the
     first three reduced indices is odd (an odd reduced index contributes
-    only when it equals 1), plus a closed term for the all-odd cell.  The
-    `variant` flag selects:
+    only when it equals 1), plus a closed term for the all-odd cell; see
+    `_four_factor_case_terms`.  The `variant` flag selects:
 
     * "printed": the case formula exactly as classically stated.  Its
       derivation assumes the trailing scaled Bernoulli factor vanishes for
@@ -531,46 +591,8 @@ def four_factor_at_one(
     if sum(ks) % 2:
         return Fraction(0)
     cache = cache or DEFAULT_CACHE
-
-    def btil(n: int) -> Fraction:
-        return _btilde(n, cache)
-
-    def case_sum(lead: int, pair_hi: int, other: int, a: int) -> Fraction:
-        # lead plays the role of the index pinned to 1; the inner binomial
-        # sum runs over the split of the remaining budget a - lead + 1.
-        w = binomial(a, lead - 1)
-        if w == 0:
-            return Fraction(0)
-        inner = Fraction(0)
-        for i in range(a - lead + 2):
-            inner += binomial(a - lead + 1, i) * btil(other - i) * btil(pair_hi + i - a - 1)
-        return w * inner
-
     replace_a0 = variant == "corrected" and k4 == 0
-
-    acc = Fraction(0)
-    for a in range(k1 + k2 + k3 + 1):
-        if a == 0 and replace_a0:
-            continue
-        bt = btil(k4 + a + 1)
-        if bt == 0:
-            continue
-        total = (
-            case_sum(k1, k1 + k2, k3, a)
-            + case_sum(k2, k2 + k3, k1, a)
-            + case_sum(k3, k2 + k3, k1, a)
-        )
-        acc += (bt if a % 2 == 0 else -bt) * total
-
-    d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
-    acc += (
-        Fraction(d_sign, 2)
-        * binomial(k1 + k2 + k3 - 3, k1 - 1)
-        * binomial(k2 + k3 - 2, k2 - 1)
-        * btil(k1 + k2 + k3 + k4 - 2)
-    )
-
+    acc = sum(_four_factor_case_terms(ks, cache, first_a=int(replace_a0)).values())
     if replace_a0:
-        acc += btil(k1) * btil(k2) * btil(k3)
-
+        acc += _btilde(k1, cache) * _btilde(k2, cache) * _btilde(k3, cache)
     return acc * _factorial_product(ks)

@@ -1,61 +1,97 @@
-"""Kernel backend selection.
+"""The two hot loops: integer polynomial products and the closed-form sum.
 
-The compiled Cython kernels are used when the extension built; otherwise the
-pure-Python twins take over.  `use_backend` lets benchmarks and tests force a
-specific one, and the BERNINT_BACKEND environment variable ("pure" or
-"compiled") pins the choice at import time.
+Both work on plain Python ints (tables as num, den pairs with den > 0), so
+the arithmetic stays exact at arbitrary precision and one gcd at the end
+gives the reduced result.
 """
 
 from __future__ import annotations
 
-import os
-from types import ModuleType
+from math import factorial, gcd, lcm
 
-from . import _kernels as _pure
-
-_impls: dict[str, ModuleType] = {"pure": _pure}
-try:
-    from . import _ckernels as _compiled  # type: ignore[attr-defined]
-
-    _impls["compiled"] = _compiled
-except ImportError:
-    pass
-
-__all__ = ["active_backend", "available_backends", "closed_form_sum", "convolve", "use_backend"]
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_impls))
-
-
-def _resolve(name: str) -> ModuleType:
-    if name == "auto":
-        return _impls.get("compiled", _pure)
-    try:
-        return _impls[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        ) from None
-
-
-_active = _resolve(os.environ.get("BERNINT_BACKEND", "auto"))
-
-
-def use_backend(name: str) -> str:
-    """Switch the active backend ("pure", "compiled" or "auto"); returns its name."""
-    global _active
-    _active = _resolve(name)
-    return active_backend()
+__all__ = ["active_backend", "closed_form_sum", "convolve"]
 
 
 def active_backend() -> str:
-    return "compiled" if _active is _impls.get("compiled") else "pure"
+    """Name of the kernel implementation; there is only the pure-Python one."""
+    return "pure"
 
 
-def closed_form_sum(ks, xnum, xden, onum, oden):
-    return _active.closed_form_sum(ks, xnum, xden, onum, oden)
+def convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficient convolution of two integer polynomials."""
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return []
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
 
 
-def convolve(a, b):
-    return _active.convolve(a, b)
+def _boundary_sum(
+    heads: tuple[int, ...], kr: int, num: list[int], den: list[int]
+) -> tuple[int, int]:
+    """(n, d) with n/d = sum_a (-1)^a a! [t^a] prod_j P_j(t) * T_{kr+a+1}.
+
+    T_m = num[m]/den[m] is one scaled value table and
+    P_j(t) = sum_{i <= k_j} T_{k_j-i} t^i / i!.  Each P_j is scaled to
+    integers by k_j! and the lcm of the denominators it uses, so its
+    coefficient of t^i is T_{k_j-i} * k_j!/i! times that lcm.
+    """
+    prod = [1]
+    d = 1
+    for k in heads:
+        if k == 0:
+            continue  # P_j = T_0 = 1
+        scale = lcm(*den[: k + 1])
+        coeffs = [0] * (k + 1)
+        w = 1  # k!/i!, built from i = k downwards
+        for i in range(k, -1, -1):
+            m = k - i
+            coeffs[i] = num[m] * (scale // den[m]) * w
+            w *= i
+        prod = convolve(prod, coeffs) if len(prod) > 1 else coeffs  # [1] * P = P
+        d *= scale * factorial(k)
+    tail = den[kr + 1 : kr + len(prod) + 1]
+    scale = lcm(*tail)
+    n = 0
+    fa = 1  # a!
+    for a, q in enumerate(prod):
+        if a:
+            fa *= a
+        m = kr + a + 1
+        if q and num[m]:
+            term = fa * q * num[m] * (scale // tail[a])
+            n += -term if a & 1 else term
+    return n, d * scale
+
+
+def closed_form_sum(
+    ks: tuple[int, ...],
+    xnum: list[int],
+    xden: list[int],
+    onum: list[int],
+    oden: list[int],
+) -> tuple[int, int]:
+    """Scaled integral of B_{k_1}(z)...B_{k_r}(z) from 0 to x as reduced (num, den).
+
+    The tables give B_k(x)/k! (xnum/xden) and B_k/k! (onum/oden) for
+    k = 0 .. sum(ks) + 1.  The closed form sums, over a = 0..k_1+...+k_{r-1}
+    and compositions (i_1, ..., i_{r-1}) of a inside the box i_j <= k_j,
+    (-1)^a times multinomial(a; i) times the scaled boundary term with
+    indices (k_1 - i_1, ..., k_{r-1} - i_{r-1}, k_r + a + 1).  Since
+    multinomial(a; i) = a!/(i_1!...i_{r-1}!), the inner sum over
+    compositions is a! times the coefficient of t^a in a product of r - 1
+    polynomials, one per head index, for the values at x and again at 0.
+    """
+    heads, kr = ks[:-1], ks[-1]
+    xn, xd = _boundary_sum(heads, kr, xnum, xden)
+    on, od = _boundary_sum(heads, kr, onum, oden)
+    num = xn * od - on * xd
+    den = xd * od
+    g = gcd(num, den)
+    return num // g, den // g

@@ -34,8 +34,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
-from .exact import binomial, compositions, factorial, multinomial
+from .exact import compositions, factorial, multinomial
 from .integrals import (
+    _btilde,
+    _four_factor_case_terms,
     closed_form_integral,
     four_factor_at_one,
     four_factor_even_sum,
@@ -82,7 +84,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.passed == self.attempted
+        """Every instance passed and there was one; an empty sweep checks nothing."""
+        return self.attempted > 0 and self.passed == self.attempted
 
     def check(self, condition: bool, **failure_info) -> None:
         """Record one instance; on the first failure keep its description."""
@@ -515,52 +518,6 @@ def verify_table(cache: BernoulliCache | None = None) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _btil(n: int, cache: BernoulliCache) -> Fraction:
-    if n < 0:
-        return Fraction(0)
-    return cache.number(n) / factorial(n)
-
-
-def _four_factor_case_terms(
-    ks: tuple[int, int, int, int], cache: BernoulliCache
-) -> dict[str, Fraction]:
-    """The four parity-case terms of the case formula, evaluated separately."""
-    k1, k2, k3, k4 = ks
-
-    def one_case(lead: int, pair_hi: int, other: int) -> Fraction:
-        acc = Fraction(0)
-        for a in range(k1 + k2 + k3 + 1):
-            bt = _btil(k4 + a + 1, cache)
-            if bt == 0:
-                continue
-            w = binomial(a, lead - 1)
-            if w == 0:
-                continue
-            inner = Fraction(0)
-            for i in range(a - lead + 2):
-                inner += (
-                    binomial(a - lead + 1, i)
-                    * _btil(other - i, cache)
-                    * _btil(pair_hi + i - a - 1, cache)
-                )
-            acc += (bt if a % 2 == 0 else -bt) * w * inner
-        return acc
-
-    d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
-    d_term = (
-        Fraction(d_sign, 2)
-        * binomial(k1 + k2 + k3 - 3, k1 - 1)
-        * binomial(k2 + k3 - 2, k2 - 1)
-        * _btil(k1 + k2 + k3 + k4 - 2, cache)
-    )
-    return {
-        "A": one_case(k1, k1 + k2, k3),
-        "B": one_case(k2, k2 + k3, k1),
-        "C": one_case(k3, k2 + k3, k1),
-        "D": d_term,
-    }
-
-
 def _triple_sum_by_class(
     ks: tuple[int, int, int, int], cache: BernoulliCache
 ) -> dict[str, Fraction]:
@@ -582,13 +539,13 @@ def _triple_sum_by_class(
         for i2 in range(k2 + 1):
             for i3 in range(k3 + 1):
                 a = i1 + i2 + i3
-                bt = _btil(k4 + a + 1, cache)
+                bt = _btilde(k4 + a + 1, cache)
                 if bt == 0:
                     continue
                 value = (
-                    _btil(k1 - i1, cache)
-                    * _btil(k2 - i2, cache)
-                    * _btil(k3 - i3, cache)
+                    _btilde(k1 - i1, cache)
+                    * _btilde(k2 - i2, cache)
+                    * _btilde(k3 - i3, cache)
                 )
                 if value == 0:
                     continue
@@ -616,9 +573,10 @@ def verify_carlitz4(
 
     For every even-sum 4-tuple both variants of `four_factor_at_one` and the
     symmetrized triple sum are compared with brute-force expansion; on
-    tuples with k_4 >= 1 each case term A-D is additionally matched to its
-    parity class in the triple sum (each of A/B/C absorbs the all-odd class
-    once, so the closed D term must equal -2 times that class).
+    tuples with k_4 >= 1 each case term A-D that `four_factor_at_one` sums is
+    additionally matched to its parity class in the triple sum (each of A/B/C
+    absorbs the all-odd class once, so the closed D term must equal -2 times
+    that class).
     """
     cache = cache or DEFAULT_CACHE
     report = VerificationReport("carlitz4")

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernint import (
     IntegralSpec,
@@ -22,6 +23,8 @@ from bernint import (
     oracle_integral_poly,
     recurrence_integral,
     recurrence_residual_indices,
+    three_factor_formula,
+    two_factor_formula,
 )
 from bernint.bernoulli import Polynomial
 
@@ -260,3 +263,51 @@ class TestPermutationSymmetry:
                 want = closed_form_integral(base, upper)
                 for perm in set(itertools.permutations(base)):
                     assert closed_form_integral(perm, upper) == want, (perm, upper)
+
+
+class TestInputContract:
+    # every public entry point that takes an upper limit
+    UPPER_CALLS = {
+        "IntegralSpec": lambda u: IntegralSpec((2, 2), u),
+        "oracle_integral": lambda u: oracle_integral((2, 2), u),
+        "c_term": lambda u: c_term((2, 2), u),
+        "closed_form_integral": lambda u: closed_form_integral((2, 2), u),
+        "recurrence_integral": lambda u: recurrence_integral((2, 2), u),
+        "two_factor_formula": lambda u: two_factor_formula(2, 2, u),
+        "three_factor_formula": lambda u: three_factor_formula(2, 2, 2, u),
+    }
+
+    @pytest.mark.parametrize("upper", [0.1, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("entry", sorted(UPPER_CALLS))
+    def test_upper_must_be_int_or_fraction(self, entry, upper):
+        # Fraction(0.1) is the binary float, 3602879701896397/2**55, not 1/10
+        with pytest.raises(ValueError, match="upper limit"):
+            self.UPPER_CALLS[entry](upper)
+
+    @pytest.mark.parametrize("ks", [(True, 2), (2.0, 2)], ids=["bool", "float"])
+    def test_indices_must_be_ints(self, ks):
+        for entry in (IntegralSpec, oracle_integral, c_term, closed_form_integral):
+            with pytest.raises(ValueError, match="nonnegative ints"):
+                entry(ks)
+
+
+index_tuples = st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple)
+rational_uppers = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestProperties:
+    """Random tuples and uppers beyond the exhaustive sweeps' box."""
+
+    @bounded
+    @given(index_tuples, rational_uppers)
+    def test_closed_form_equals_oracle(self, ks, upper):
+        assert closed_form_integral(ks, upper) == oracle_integral(ks, upper)
+
+    @bounded
+    @given(index_tuples, rational_uppers)
+    def test_reflection(self, ks, x):
+        # B_k(1 - z) = (-1)^k B_k(z) gives I(1 - x) = (-1)^(sum k) (I(1) - I(x))
+        sign = -1 if sum(ks) % 2 else 1
+        want = sign * (closed_form_integral(ks) - closed_form_integral(ks, x))
+        assert closed_form_integral(ks, 1 - x) == want

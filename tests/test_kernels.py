@@ -1,159 +1,76 @@
-"""Backend parity: the compiled kernels must be drop-in twins of the pure ones."""
+"""The integer kernels against plain references written from the paper's formula."""
 
-import json
+import itertools
+import math
 import random
-import re
-import subprocess
-import sys
 from fractions import Fraction
-from math import gcd
-from pathlib import Path
 
-import pytest
-
-from bernint import closed_form_integral, oracle_integral_poly, use_backend
+from bernint import closed_form_integral, kernels, multinomial, oracle_integral_poly
 from bernint.bernoulli import DEFAULT_CACHE
 from bernint.integrals import _scaled_tables
-from bernint import kernels
 
 F = Fraction
 
-BACKENDS = kernels.available_backends()
+
+def box_walk(ks, xnum, xden, onum, oden):
+    """The closed-form sum cell by cell, as the paper states it.
+
+    Over the box 0 <= i_j <= k_j (j < r), with a = i_1 + ... + i_{r-1}, add
+    (-1)^a * multinomial(a; i) * (prod_j T_{k_j - i_j} * T_{k_r + a + 1})
+    for the table at x minus the same for the table at 0.
+    """
+    at_x = [F(n, d) for n, d in zip(xnum, xden)]
+    at_0 = [F(n, d) for n, d in zip(onum, oden)]
+    heads, kr = ks[:-1], ks[-1]
+    total = F(0)
+    for comp in itertools.product(*(range(k + 1) for k in heads)):
+        a = sum(comp)
+        idx = [k - i for k, i in zip(heads, comp)] + [kr + a + 1]
+        term = math.prod(at_x[m] for m in idx) - math.prod(at_0[m] for m in idx)
+        total += (-1) ** a * multinomial(a, comp) * term
+    return total.numerator, total.denominator
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    kernels.use_backend("auto")
+def assert_matches_box_walk(ks, upper):
+    tables = _scaled_tables(upper, sum(ks) + 1, DEFAULT_CACHE)
+    got = kernels.closed_form_sum(ks, *tables)
+    assert got == box_walk(ks, *tables), (ks, upper)
+    assert got[1] > 0 and math.gcd(*got) == 1
 
 
-def test_pure_backend_always_available():
-    assert "pure" in BACKENDS
+def test_convolve_basics():
+    assert kernels.convolve([], [1, 2]) == []
+    assert kernels.convolve([3], [4]) == [12]
+    assert kernels.convolve([1, 1], [1, 1]) == [1, 2, 1]
+    assert kernels.convolve([0, 1], [0, 1]) == [0, 0, 1]
+    assert kernels.convolve([1, -2, 3], [5, 7]) == [5, -3, 1, 21]
 
 
-def test_compiled_backend_built(built_env):
-    # the suite imports bernint from src/, where nothing is compiled, so this
-    # checks a fresh build; the fallback path is exercised in-process below
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, bernint; print(json.dumps("
-            "[bernint.available_backends(), bernint.active_backend()]))",
-        ],
-        capture_output=True,
-        text=True,
-        env=built_env,
-    )
-    assert out.returncode == 0, out.stderr
-    available, active = json.loads(out.stdout)
-    assert "compiled" in available
-    assert active == "compiled"
-
-
-def test_committed_c_matches_pyx():
-    # setup.py compiles the committed C, so it must be generated from the
-    # current .pyx.  Above each statement Cython quotes the source line
-    # (flagged "# <<<<") with up to two lines of context either side, and it
-    # embeds every docstring as a C string.  All of that must match the .pyx,
-    # and every other non-blank line (the "# cython:" directives, declarations,
-    # code added at the end) must be among the quoted ones.
-    src = Path(__file__).resolve().parent.parent / "src" / "bernint"
-    pyx_text = (src / "_ckernels.pyx").read_text()
-    pyx = [line.rstrip() for line in pyx_text.splitlines()]
-    c_text = (src / "_ckernels.c").read_text()
-    c_lines = c_text.splitlines()
-    flag = "             # <<<<<<<<<<<<<<"
-    covered = set()
-    for i, line in enumerate(c_lines):
-        m = re.match(r'\s*/\* "bernint/_ckernels\.pyx":(\d+)$', line)
-        if not m:
-            continue
-        block = c_lines[i + 1 : c_lines.index("*/", i)]
-        first = int(m.group(1)) - next(
-            n for n, q in enumerate(block) if q.endswith(flag)
-        )
-        for lineno, quoted in enumerate(block, first):
-            assert quoted.startswith(" * "), quoted
-            assert 1 <= lineno <= len(pyx), (m.group(0), lineno)
-            assert quoted[3:].removesuffix(flag).rstrip() == pyx[lineno - 1], (
-                m.group(0),
-                lineno,
-            )
-            covered.add(lineno)
-    for doc in re.finditer(r'"""(.*?)"""', pyx_text, re.S):
-        body = doc.group(1)
-        escaped = body.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        assert f'"{escaped}"' in c_text, body
-        first = pyx_text.count("\n", 0, doc.start()) + 1
-        covered.update(range(first, first + doc.group(0).count("\n") + 1))
-    unquoted = [n for n, line in enumerate(pyx, 1) if line and n not in covered]
-    assert not unquoted, f"lines of _ckernels.pyx absent from _ckernels.c: {unquoted}"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_convolve_basics(backend):
-    impl = kernels._impls[backend]
-    assert impl.convolve([], [1, 2]) == []
-    assert impl.convolve([3], [4]) == [12]
-    assert impl.convolve([1, 1], [1, 1]) == [1, 2, 1]
-    assert impl.convolve([0, 1], [0, 1]) == [0, 0, 1]
-    assert impl.convolve([1, -2, 3], [5, 7]) == [5, -3, 1, 21]
-
-
-def test_convolve_backends_agree(ckernels):
-    rng = random.Random(11)
-    for _ in range(100):
-        a = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 15))]
-        b = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 15))]
-        assert kernels._impls["pure"].convolve(a, b) == ckernels.convolve(a, b)
-
-
-def test_closed_form_sum_backends_agree(ckernels):
+def test_closed_form_sum_matches_box_walk():
     rng = random.Random(23)
     for _ in range(150):
         r = rng.randint(1, 5)
         ks = tuple(rng.randint(0, 5) for _ in range(r))
         upper = F(rng.randint(-4, 4), rng.randint(1, 5))
-        tables = _scaled_tables(upper, sum(ks) + 1, DEFAULT_CACHE)
-        pure_val = kernels._impls["pure"].closed_form_sum(ks, *tables)
-        comp_val = ckernels.closed_form_sum(ks, *tables)
-        assert pure_val == comp_val, (ks, upper)
-        num, den = pure_val
-        assert den > 0
-        assert gcd(num, den) == 1
+        assert_matches_box_walk(ks, upper)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_integrals_per_backend(backend):
-    use_backend(backend)
+def test_closed_form_sum_matches_box_walk_on_heavy_shapes():
+    # r and entries as in the benchmark's heavy tuples; heads are halved until
+    # the box is small enough for the Fraction reference to walk quickly
+    rng = random.Random(29)
+    for _ in range(100):
+        ks = [rng.randint(1, 9) for _ in range(rng.randint(4, 9))]
+        while math.prod(k + 1 for k in ks[:-1]) > 500:
+            j = rng.randrange(len(ks) - 1)
+            ks[j] = max(1, ks[j] // 2)
+        upper = F(rng.randint(-13, 13), rng.choice((3, 4, 5, 7)))
+        assert_matches_box_walk(tuple(ks), upper)
+
+
+def test_integrals_through_kernel():
     assert closed_form_integral((1, 1, 1, 1)) == F(1, 80)
     assert closed_form_integral((2, 3, 1), F(-1, 3)) == oracle_integral_poly((2, 3, 1))(
         F(-1, 3)
     )
 
-
-def test_use_backend_switches_and_reports():
-    for backend in BACKENDS:
-        assert use_backend(backend) == backend
-    assert use_backend("auto") in BACKENDS
-
-
-def test_environment_variable_pins_backend():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, BERNINT_BACKEND="pure")
-    out = subprocess.run(
-        [sys.executable, "-c", "import bernint; print(bernint.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "pure"

@@ -8,6 +8,7 @@ from bernint import oracle_integral
 from bernint.verify import (
     SUITES,
     TABLE_ROWS,
+    VerificationReport,
     evaluate_table_expression,
     run_suite,
     verify_carlitz4,
@@ -94,6 +95,13 @@ def test_carlitz4():
     check_report(report, "carlitz4")
     assert any("corrected variant matches everywhere" in n for n in report.notes)
     assert any("case terms A-D match" in n for n in report.notes)
+
+
+def test_empty_sweep_does_not_pass():
+    assert not VerificationReport("oracle").ok
+    report = verify_oracle(max_sum=-3)
+    assert report.attempted == 0
+    assert not report.ok and not report.to_dict()["ok"]
 
 
 def test_run_suite_dispatch():
