@@ -26,12 +26,11 @@ ValueError), and results are Fractions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
@@ -121,7 +120,7 @@ def _factorial_product(ks: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 _INT_POLY_LOCK = threading.Lock()
-_int_polys: list[tuple[tuple[int, ...], int]] = []  # k -> (coeff nums, common den)
+_int_polys: list[tuple[list[int], int]] = []  # k -> (coeff nums, common den)
 
 _TABLE_LOCK = threading.Lock()
 # upper -> parallel grow-only lists (xnum, xden) with xnum[k]/xden[k] = B_k(upper)/k!
@@ -130,17 +129,14 @@ _tables_at: dict[Fraction, tuple[list[int], list[int]]] = {}
 _zero_table: tuple[list[int], list[int]] = ([], [])
 
 
-def _int_poly(k: int, cache: BernoulliCache) -> tuple[tuple[int, ...], int]:
+def _int_poly(k: int, cache: BernoulliCache) -> tuple[list[int], int]:
     """B_k(x) as (integer coefficients, common denominator), memoized."""
     if k < len(_int_polys):
         return _int_polys[k]
     with _INT_POLY_LOCK:
         while len(_int_polys) <= k:
-            n = len(_int_polys)
-            poly = bernoulli_polynomial(n, cache)
-            den = math.lcm(*(c.denominator for c in poly.coeffs))
-            nums = tuple(c.numerator * (den // c.denominator) for c in poly.coeffs)
-            _int_polys.append((nums, den))
+            poly = bernoulli_polynomial(len(_int_polys), cache)
+            _int_polys.append(poly._as_int_coeffs())
     return _int_polys[k]
 
 
@@ -184,10 +180,9 @@ def _btilde(k: int, cache: BernoulliCache) -> Fraction:
 @functools.lru_cache(maxsize=None)
 def _oracle_poly_cached(ks: tuple[int, ...], cache: BernoulliCache) -> Polynomial:
     nums, den = _int_poly(ks[0], cache)
-    nums = list(nums)
     for k in ks[1:]:
         nk, dk = _int_poly(k, cache)
-        nums = kernels.convolve(nums, list(nk))
+        nums = kernels.convolve(nums, nk)
         den *= dk
     product = Polynomial(Fraction(c, den) for c in nums)
     return product.antiderivative()
@@ -277,43 +272,52 @@ def closed_form_integral_poly(
 ) -> Polynomial:
     """The closed form assembled symbolically as a polynomial in x.
 
-    Each boundary term is a product of Bernoulli polynomials whose constant
-    coefficient is exactly the product of the Bernoulli numbers, so C~ as a
-    polynomial is the scaled product with its constant term zeroed.
-    Coefficient-wise equal to `oracle_integral_poly`.
+    With Q = B~_{k_1}...B~_{k_{r-1}} (B~_n = B_n(x)/n!), the closed form's
+    inner sum over compositions i of a, weighted by multinomial(a; i), is the
+    Leibniz rule for the a-th derivative Q^(a).  So the scaled integral is
+    F(x) - F(0) with
+
+        F = sum_{a=0}^{deg Q} (-1)^a Q^(a) B~_{k_r+a+1},
+
+    which is repeated integration by parts of Q B~_{k_r}, using
+    B~'_{n+1} = B~_n.  F(0) is F's constant term, the -B~_{k_1}...B~_{k_r}
+    half of every boundary term, so it is dropped rather than evaluated.
+    For r = 1, Q = 1.  Coefficient-wise equal to `oracle_integral_poly`,
+    which multiplies all r polynomials and integrates term by term instead.
     """
     ks = _check_indices(ks)
     cache = cache or DEFAULT_CACHE
-    heads = ks[:-1]
-    kr = ks[-1]
-    degree = sum(ks) + 1
-    acc = [Fraction(0)] * (degree + 1)
-
-    def add_term(comp: tuple[int, ...], a: int, weight: int) -> None:
-        idx = tuple(h - i for h, i in zip(heads, comp)) + (kr + a + 1,)
-        nums, den = _int_poly(idx[0], cache)
-        nums = list(nums)
-        for k in idx[1:]:
-            nk, dk = _int_poly(k, cache)
-            nums = kernels.convolve(nums, list(nk))
-            den *= dk
-        den *= _factorial_product(idx)
-        sign = -weight if a & 1 else weight
-        for i, c in enumerate(nums):
-            if i and c:  # constant term dropped: that is the -B_{k_1}...B_{k_r} part
-                acc[i] += Fraction(sign * c, den)
-
-    # only the box 0 <= i_j <= k_j survives the extended-zero convention
-    for comp in itertools.product(*(range(k + 1) for k in heads)):
-        a = sum(comp)
-        add_term(comp, a, multinomial(a, comp))
-
-    return Polynomial(acc) * _factorial_product(ks)
+    *heads, kr = ks
+    q = Polynomial([1])
+    for k in heads:
+        q = q * bernoulli_polynomial(k, cache) * Fraction(1, math.factorial(k))
+    f = Polynomial()
+    for a in range(q.degree + 1):
+        n = kr + a + 1
+        term = q * bernoulli_polynomial(n, cache) * Fraction(1, math.factorial(n))
+        f = f + (-term if a & 1 else term)
+        q = q.derivative()
+    return Polynomial([0, *f.coeffs[1:]]) * _factorial_product(ks)
 
 
 # ---------------------------------------------------------------------------
 # integration-by-parts recurrence (one identity per mu >= 1)
 # ---------------------------------------------------------------------------
+
+
+def _reduced_heads(
+    heads: tuple[int, ...], a: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Reduced heads (k_j - i_j)_j and multinomial(a; i) per composition i of a.
+
+    Only compositions inside the box i_j <= k_j are yielded: the others
+    would index a negative Bernoulli polynomial, and the zero convention
+    removes them.
+    """
+    for comp in compositions(a, len(heads)):
+        idx = tuple(h - i for h, i in zip(heads, comp))
+        if min(idx, default=0) >= 0:
+            yield idx, multinomial(a, comp)
 
 
 def recurrence_residual_indices(ks: Sequence[int], mu: int) -> list[tuple[int, ...]]:
@@ -327,13 +331,7 @@ def recurrence_residual_indices(ks: Sequence[int], mu: int) -> list[tuple[int, .
     if mu < 1:
         raise ValueError(f"mu must be >= 1 (got {mu})")
     heads, kr = ks[:-1], ks[-1]
-    out = []
-    for comp in compositions(mu, len(heads)):
-        idx = tuple(h - i for h, i in zip(heads, comp))
-        if min(idx, default=0) < 0:
-            continue
-        out.append(idx + (kr + mu,))
-    return out
+    return [idx + (kr + mu,) for idx, _ in _reduced_heads(heads, mu)]
 
 
 def recurrence_integral(
@@ -360,19 +358,11 @@ def recurrence_integral(
     acc = Fraction(0)
     for a in range(mu):
         sign = -1 if a & 1 else 1
-        for comp in compositions(a, len(heads)):
-            idx = tuple(h - i for h, i in zip(heads, comp))
-            if min(idx, default=0) < 0:
-                continue
-            w = multinomial(a, comp)
+        for idx, w in _reduced_heads(heads, a):
             acc += sign * w * c_term(idx + (kr + a + 1,), upper, scaled=True, cache=cache)
 
     sign = -1 if mu & 1 else 1
-    for comp in compositions(mu, len(heads)):
-        idx = tuple(h - i for h, i in zip(heads, comp))
-        if min(idx, default=0) < 0:
-            continue
-        w = multinomial(mu, comp)
+    for idx, w in _reduced_heads(heads, mu):
         residual = idx + (kr + mu,)
         value = oracle_integral(residual, upper, cache) / _factorial_product(residual)
         acc += sign * w * value
@@ -478,32 +468,53 @@ def four_factor_even_sum(
         raise ValueError(f"need exactly four indices (got {len(ks)})")
     if sum(ks) % 2:
         raise ValueError(f"index sum must be even (got {ks}); the odd case is 0")
-    cache = cache or DEFAULT_CACHE
+    return sum(_triple_sum_by_class(ks, cache or DEFAULT_CACHE).values())
+
+
+def _triple_sum_by_class(
+    ks: tuple[int, int, int, int], cache: BernoulliCache
+) -> dict[str, Fraction]:
+    """Cells of the symmetrized triple sum, for an even index sum, by parity class.
+
+    The cell (i_1, i_2, i_3) of the box i_j <= k_j is
+    2 (-1)^(a+1) multinomial(a; i) B~_{k_1-i_1} B~_{k_2-i_2} B~_{k_3-i_3} B~_{k_4+a+1}
+    with a = i_1 + i_2 + i_3 and B~_n = B_n/n!.  Classes A/B/C: exactly one
+    of the three reduced leading indices is odd (first/second/third); D: all
+    three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
+    for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
+    `four_factor_even_sum`.
+    """
     k1, k2, k3, k4 = ks
-    acc = Fraction(0)
-    for a in range(k1 + k2 + k3 + 1):
-        bt = _btilde(k4 + a + 1, cache)
-        if bt == 0:
+    table = [_btilde(n, cache) for n in range(k1 + k2 + k3 + k4 + 2)]
+    out = dict.fromkeys(("A", "B", "C", "D", "boundary"), Fraction(0))
+    for i1 in range(k1 + 1):
+        b1 = table[k1 - i1]
+        if b1 == 0:
             continue
-        inner = Fraction(0)
-        for i1 in range(min(a, k1) + 1):
-            b1 = _btilde(k1 - i1, cache)
-            if b1 == 0:
+        for i2 in range(k2 + 1):
+            b2 = table[k2 - i2]
+            if b2 == 0:
                 continue
-            for i2 in range(min(a - i1, k2) + 1):
-                i3 = a - i1 - i2
-                if i3 > k3:
+            for i3 in range(k3 + 1):
+                a = i1 + i2 + i3
+                b3 = table[k3 - i3]
+                bt = table[k4 + a + 1]
+                if b3 == 0 or bt == 0:
                     continue
-                b2 = _btilde(k2 - i2, cache)
-                if b2 == 0:
-                    continue
-                b3 = _btilde(k3 - i3, cache)
-                if b3 == 0:
-                    continue
-                inner += multinomial(a, (i1, i2, i3)) * b1 * b2 * b3
-        sign = 1 if (a + 1) % 2 == 0 else -1
-        acc += 2 * sign * bt * inner
-    return acc
+                value = 2 * multinomial(a, (i1, i2, i3)) * b1 * b2 * b3 * bt
+                if a % 2 == 0:
+                    value = -value
+                if (k4 + a + 1) % 2:
+                    label = "boundary"
+                else:
+                    label = {
+                        (1, 0, 0): "A",
+                        (0, 1, 0): "B",
+                        (0, 0, 1): "C",
+                        (1, 1, 1): "D",
+                    }[((k1 - i1) % 2, (k2 - i2) % 2, (k3 - i3) % 2)]
+                out[label] += value
+    return out
 
 
 def _four_factor_case_terms(

@@ -292,6 +292,7 @@ class TestInputContract:
 
 
 index_tuples = st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple)
+long_index_tuples = st.lists(st.integers(0, 10), min_size=1, max_size=8).map(tuple)
 rational_uppers = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
 bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -311,3 +312,17 @@ class TestProperties:
         sign = -1 if sum(ks) % 2 else 1
         want = sign * (closed_form_integral(ks) - closed_form_integral(ks, x))
         assert closed_form_integral(ks, 1 - x) == want
+
+    @bounded
+    @given(long_index_tuples)
+    def test_closed_form_poly_equals_oracle_poly(self, ks):
+        assert closed_form_integral_poly(ks) == oracle_integral_poly(ks)
+
+    @bounded
+    @given(
+        index_tuples.flatmap(lambda ks: st.tuples(st.just(ks), st.permutations(ks))),
+        rational_uppers,
+    )
+    def test_permutation_symmetry(self, ks_and_perm, upper):
+        ks, perm = ks_and_perm
+        assert closed_form_integral(tuple(perm), upper) == closed_form_integral(ks, upper)
