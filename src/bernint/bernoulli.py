@@ -1,7 +1,9 @@
 """Bernoulli numbers and polynomials over exact rationals.
 
-The polynomial type is dense: coeffs[i] is the coefficient of x^i, stored in
-canonical form (no trailing zeros; the zero polynomial has an empty tuple).
+A polynomial is dense and stored as integer numerators over one common
+denominator: the coefficient of x^i is nums[i]/den, in canonical form (den > 0,
+gcd(den, *nums) = 1, no trailing zero; the zero polynomial is () over 1), so
+equal polynomials have equal storage and each operation reduces once.
 Bernoulli numbers use the B_1 = -1/2 convention and come from the recurrence
 sum_{j=0}^{n-1} C(n+1, j) B_j = -(n+1) B_n; the polynomials from the
 expansion B_n(x) = sum_j C(n, j) B_j x^{n-j}.  Both constructions are
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from . import kernels
 
@@ -29,97 +31,118 @@ __all__ = [
 ]
 
 
-class Polynomial:
-    """Immutable dense polynomial in one variable with Fraction coefficients."""
+def _check_upper(x: Scalar) -> Fraction:
+    """x as a Fraction; only an int or a Fraction is accepted.
 
-    __slots__ = ("_coeffs",)
+    A float is rejected rather than converted: Fraction(0.1) is the binary
+    float's exact value, not 1/10.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"the upper limit or point must be an int or a Fraction, got {x!r}")
+
+
+class Polynomial:
+    """Immutable dense polynomial with rational coefficients, lowest degree first.
+
+    Held as integer numerators `_nums` over one denominator `_den`, in the
+    canonical form of the module docstring; `coeffs` gives reduced Fractions.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        p = self._from_ints([c.numerator * (den // c.denominator) for c in cs], den)
+        self._nums, self._den = p._nums, p._den
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int) -> Polynomial:
+        """The polynomial with coefficients nums[i]/den (den > 0), reduced once."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        g = math.gcd(den, *nums[:end])
+        p = cls.__new__(cls)
+        p._nums, p._den = tuple(n // g for n in nums[:end]), den // g
+        return p
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at x by Horner's rule."""
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self._coeffs):
-            out = out * x + c
-        return out
-
-    def _as_int_coeffs(self) -> tuple[list[int], int]:
-        # common-denominator form used by the convolution kernel
-        den = math.lcm(*(c.denominator for c in self._coeffs)) if self._coeffs else 1
-        return [c.numerator * (den // c.denominator) for c in self._coeffs], den
+        """Evaluate at x = p/q by integer Horner's rule, reducing once."""
+        x = _check_upper(x)
+        p, q = x.numerator, x.denominator
+        out, qk = 0, 1  # out = (Horner partial sum at x) * qk / q
+        for n in reversed(self._nums):
+            out = out * p + n * qk
+            qk *= q
+        return Fraction(out * q, self._den * qk)
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial([other])
-        a, b = self._coeffs, other._coeffs
+        den = math.lcm(self._den, other._den)
+        a = [n * (den // self._den) for n in self._nums]
+        b = [n * (den // other._den) for n in other._nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        for i, n in enumerate(b):
+            a[i] += n
+        return Polynomial._from_ints(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial([-c for c in self._coeffs])
+        return Polynomial._from_ints([-n for n in self._nums], self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial([other])
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> Polynomial:
-        return Polynomial([other]) + (-self)
+        return -self + other
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            return Polynomial([c * a for a in self._coeffs])
-        if not self._coeffs or not other._coeffs:
-            return Polynomial()
-        na, da = self._as_int_coeffs()
-        nb, db = other._as_int_coeffs()
-        den = da * db
-        return Polynomial(Fraction(n, den) for n in kernels.convolve(na, nb))
+            other = Polynomial([other])
+        nums = kernels.convolve(self._nums, other._nums)
+        return Polynomial._from_ints(nums, self._den * other._den)
 
     __rmul__ = __mul__
 
     def derivative(self) -> Polynomial:
         """Formal derivative."""
-        return Polynomial(i * c for i, c in enumerate(self._coeffs) if i > 0)
+        return Polynomial._from_ints([i * n for i, n in enumerate(self._nums)][1:], self._den)
 
     def antiderivative(self) -> Polynomial:
         """The antiderivative P with P(0) = 0."""
-        return Polynomial([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
+        scale = math.lcm(*range(1, len(self._nums) + 1))
+        nums = [n * (scale // (i + 1)) for i, n in enumerate(self._nums)]
+        return Polynomial._from_ints([0, *nums], self._den * scale)
 
     def integrate(self, lo: Scalar, hi: Scalar) -> Fraction:
         """Exact definite integral over [lo, hi]."""
@@ -129,9 +152,9 @@ class Polynomial:
     def compose(self, inner: Polynomial) -> Polynomial:
         """The polynomial self(inner(x))."""
         out = Polynomial()
-        for c in reversed(self._coeffs):
-            out = out * inner + c
-        return out
+        for n in reversed(self._nums):
+            out = out * inner + n
+        return out * Fraction(1, self._den)
 
 
 class BernoulliCache:
@@ -177,7 +200,8 @@ def bernoulli_polynomial(k: int, cache: BernoulliCache | None = None) -> Polynom
     if k < 0:
         raise ValueError(f"Bernoulli polynomials are indexed by k >= 0 (got {k})")
     cache = cache or DEFAULT_CACHE
-    coeffs = [Fraction(0)] * (k + 1)
-    for j in range(k + 1):
-        coeffs[k - j] = math.comb(k, j) * cache.number(j)
-    return Polynomial(coeffs)
+    bs = [cache.number(j) for j in range(k, -1, -1)]  # coefficient of x^i uses B_{k-i}
+    den = math.lcm(*(b.denominator for b in bs))
+    return Polynomial._from_ints(
+        [math.comb(k, i) * b.numerator * (den // b.denominator) for i, b in enumerate(bs)], den
+    )

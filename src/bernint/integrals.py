@@ -34,6 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
+from .bernoulli import _check_upper
 from .exact import binomial, compositions, multinomial
 
 Scalar = int | Fraction
@@ -67,17 +68,9 @@ def _check_indices(ks: Sequence[int]) -> tuple[int, ...]:
     return ks
 
 
-def _check_upper(upper: Scalar) -> Fraction:
-    """The upper limit as a Fraction; only an int or a Fraction is accepted.
-
-    A float is rejected rather than converted: Fraction(0.1) is the binary
-    float's exact value, not 1/10.
-    """
-    if isinstance(upper, Fraction):
-        return upper
-    if isinstance(upper, int) and not isinstance(upper, bool):
-        return Fraction(upper)
-    raise ValueError(f"the upper limit must be an int or a Fraction, got {upper!r}")
+def _check_mu(mu: int) -> None:
+    if isinstance(mu, bool) or not isinstance(mu, int) or mu < 1:
+        raise ValueError(f"mu must be an int >= 1 (got {mu!r})")
 
 
 @dataclass(frozen=True)
@@ -116,11 +109,8 @@ def _factorial_product(ks: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cached int-coefficient Bernoulli polynomials and scaled value tables
+# cached scaled value tables
 # ---------------------------------------------------------------------------
-
-_INT_POLY_LOCK = threading.Lock()
-_int_polys: list[tuple[list[int], int]] = []  # k -> (coeff nums, common den)
 
 _TABLE_LOCK = threading.Lock()
 # upper -> parallel grow-only lists (xnum, xden) with xnum[k]/xden[k] = B_k(upper)/k!
@@ -129,24 +119,14 @@ _tables_at: dict[Fraction, tuple[list[int], list[int]]] = {}
 _zero_table: tuple[list[int], list[int]] = ([], [])
 
 
-def _int_poly(k: int, cache: BernoulliCache) -> tuple[list[int], int]:
-    """B_k(x) as (integer coefficients, common denominator), memoized."""
-    if k < len(_int_polys):
-        return _int_polys[k]
-    with _INT_POLY_LOCK:
-        while len(_int_polys) <= k:
-            poly = bernoulli_polynomial(len(_int_polys), cache)
-            _int_polys.append(poly._as_int_coeffs())
-    return _int_polys[k]
-
-
 def _scaled_tables(
     upper: Fraction, n: int, cache: BernoulliCache
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Tables of B_k(upper)/k! and B_k/k! for k = 0..n, as reduced int pairs."""
     onum, oden = _zero_table
     t = _tables_at.get(upper)
-    if t is not None and len(t[0]) > n and len(onum) > n:
+    # the denominators are appended last, so their length says an entry is complete
+    if t is not None and len(t[1]) > n and len(oden) > n:
         return t[0], t[1], onum, oden
     with _TABLE_LOCK:
         while len(onum) <= n:
@@ -179,12 +159,9 @@ def _btilde(k: int, cache: BernoulliCache) -> Fraction:
 
 @functools.lru_cache(maxsize=None)
 def _oracle_poly_cached(ks: tuple[int, ...], cache: BernoulliCache) -> Polynomial:
-    nums, den = _int_poly(ks[0], cache)
+    product = bernoulli_polynomial(ks[0], cache)
     for k in ks[1:]:
-        nk, dk = _int_poly(k, cache)
-        nums = kernels.convolve(nums, nk)
-        den *= dk
-    product = Polynomial(Fraction(c, den) for c in nums)
+        product = product * bernoulli_polynomial(k, cache)
     return product.antiderivative()
 
 
@@ -207,7 +184,6 @@ def oracle_integral(
     cache: BernoulliCache | None = None,
 ) -> Fraction:
     """Brute-force value of the integral from 0 to `upper`."""
-    upper = _check_upper(upper)
     return oracle_integral_poly(ks, cache)(upper)
 
 
@@ -280,8 +256,8 @@ def closed_form_integral_poly(
         F = sum_{a=0}^{deg Q} (-1)^a Q^(a) B~_{k_r+a+1},
 
     which is repeated integration by parts of Q B~_{k_r}, using
-    B~'_{n+1} = B~_n.  F(0) is F's constant term, the -B~_{k_1}...B~_{k_r}
-    half of every boundary term, so it is dropped rather than evaluated.
+    B~'_{n+1} = B~_n.  F(0), F's constant term, is the -B~_{k_1}...B~_{k_r}
+    half of every boundary term.
     For r = 1, Q = 1.  Coefficient-wise equal to `oracle_integral_poly`,
     which multiplies all r polynomials and integrates term by term instead.
     """
@@ -297,7 +273,7 @@ def closed_form_integral_poly(
         term = q * bernoulli_polynomial(n, cache) * Fraction(1, math.factorial(n))
         f = f + (-term if a & 1 else term)
         q = q.derivative()
-    return Polynomial([0, *f.coeffs[1:]]) * _factorial_product(ks)
+    return (f - f(0)) * _factorial_product(ks)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +304,7 @@ def recurrence_residual_indices(ks: Sequence[int], mu: int) -> list[tuple[int, .
     removes the term.
     """
     ks = _check_indices(ks)
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1 (got {mu})")
+    _check_mu(mu)
     heads, kr = ks[:-1], ks[-1]
     return [idx + (kr + mu,) for idx, _ in _reduced_heads(heads, mu)]
 
@@ -349,8 +324,7 @@ def recurrence_integral(
     checks the identity instead of assuming it.
     """
     ks = _check_indices(ks)
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1 (got {mu})")
+    _check_mu(mu)
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     heads, kr = ks[:-1], ks[-1]
@@ -403,6 +377,7 @@ def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fracti
 
     (-1)^(k-1) * k! l! / (k+l)! * B_{k+l}, valid for k, l >= 1.
     """
+    k, l = _check_indices((k, l))
     if k < 1 or l < 1:
         raise ValueError(f"both indices must be >= 1 (got k={k}, l={l})")
     cache = cache or DEFAULT_CACHE
@@ -439,6 +414,7 @@ def three_factor_at_one(
     k: int, l: int, m: int, cache: BernoulliCache | None = None
 ) -> Fraction:
     """I_{k,l,m}(1) for k, l, m >= 1; zero when k+l+m is odd."""
+    k, l, m = _check_indices((k, l, m))
     if k < 1 or l < 1 or m < 1:
         raise ValueError(f"all indices must be >= 1 (got {(k, l, m)})")
     if (k + l + m) % 2:

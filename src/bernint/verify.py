@@ -26,7 +26,6 @@ equalities.  The suites are the library-level counterpart of the CLI's
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from typing import Callable, Iterator, Sequence
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
 from .exact import compositions, factorial
 from .integrals import (
+    _factorial_product,
     _four_factor_case_terms,
     _triple_sum_by_class,
     closed_form_integral,
@@ -233,9 +233,7 @@ def verify_oracle(
     for r in rs:
         for ks in _tuples_with_sum_at_most(r, max_sum, max_entry):
             anti = oracle_integral_poly(ks, cache)
-            scale = 1
-            for k in ks:
-                scale *= math.factorial(k)
+            scale = _factorial_product(ks)
             for upper in SWEEP_UPPERS:
                 expected = anti(upper)
                 ok = closed_form_integral(ks, upper, cache=cache) == expected
@@ -539,14 +537,11 @@ def verify_carlitz4(
         for ks in compositions(total, 4):
             count += 1
             expected = oracle_integral_poly(ks, cache)(1)
-            scale = 1
-            for k in ks:
-                scale *= factorial(k)
 
             corrected = four_factor_at_one(*ks, cache=cache)
             printed = four_factor_at_one(*ks, variant="printed", cache=cache)
             classes = _triple_sum_by_class(ks, cache)
-            triple = sum(classes.values()) * scale
+            triple = sum(classes.values()) * _factorial_product(ks)
 
             if printed != expected:
                 (printed_bad if ks[3] == 0 else printed_bad_other).append(ks)

@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bernint.bernoulli import (
     BernoulliCache,
@@ -180,6 +180,54 @@ class TestPolynomialOps:
 coeff_lists = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6
 )
+bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class FractionPolynomial:
+    """Test-only reference: one reduced Fraction per coefficient, no common denominator."""
+
+    def __init__(self, coeffs=()):
+        cs = [F(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __call__(self, x):
+        out = F(0)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def __add__(self, other):
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        return FractionPolynomial(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a))
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            return FractionPolynomial(other * c for c in self.coeffs)
+        out = [F(0)] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def derivative(self):
+        return FractionPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+
+    def antiderivative(self):
+        return FractionPolynomial([0] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+
+    def compose(self, inner):
+        out = FractionPolynomial()
+        for c in reversed(self.coeffs):
+            out = out * inner + FractionPolynomial([c])
+        return out
 
 
 class TestPolynomialRingLaws:
@@ -201,3 +249,55 @@ class TestPolynomialRingLaws:
     def test_derivative_inverts_antiderivative(self, a):
         p = Polynomial(a)
         assert p.antiderivative().derivative() == p
+
+
+rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+
+
+class TestIntegerStorage:
+    """The integer-over-one-denominator Polynomial against the Fraction reference."""
+
+    @bounded
+    @given(coeff_lists, coeff_lists, rationals, st.lists(rationals, max_size=4))
+    def test_matches_fraction_reference(self, a, b, c, points):
+        p, q = Polynomial(a), Polynomial(b)
+        rp, rq = FractionPolynomial(a), FractionPolynomial(b)
+        pairs = [
+            (p, rp),
+            (p + q, rp + rq),
+            (p - q, rp - rq),
+            (-p, -rp),
+            (p * q, rp * rq),
+            (p * c, rp * c),
+            (p.derivative(), rp.derivative()),
+            (p.antiderivative(), rp.antiderivative()),
+            (p.compose(q), rp.compose(rq)),
+        ]
+        for got, want in pairs:
+            assert got.coeffs == want.coeffs
+            assert got.degree == len(want.coeffs) - 1
+            for x in (0, -1, F(-7, 3), *points):
+                assert got(x) == want(x)
+
+    def test_canonical_storage(self):
+        p = Polynomial([F(1, 6), F(-1, 4), 0, F(2, 3)])
+        q = Polynomial([F(1, 2), F(1, 3)])
+        routes = [
+            (p + q, q + p, Polynomial([F(2, 3), F(1, 12), 0, F(2, 3)])),
+            (p * q, q * p, (p * 2) * (q * F(1, 2))),
+            (p - p, p * 0, Polynomial([0, 0])),
+            (p * 6, Polynomial([1, F(-3, 2), 0, 4]), p + p + p + p + p + p),
+        ]
+        for first, *others in routes:
+            for other in others:
+                assert other == first
+                assert hash(other) == hash(first)
+                assert other.coeffs == first.coeffs
+            assert all(type(c) is F for c in first.coeffs)
+            assert not first.coeffs or first.coeffs[-1] != 0
+        assert (p - p).coeffs == () and (p - p).degree == -1
+
+    @pytest.mark.parametrize("x", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+    def test_evaluation_rejects_non_rationals(self, x):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Polynomial([1, 2])(x)

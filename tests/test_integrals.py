@@ -7,25 +7,30 @@ integral_0^1 (x-1/2)^2 dx = 1/12 and integral_0^1 (x-1/2)^4 dx = 2*(1/2)^5/5
 
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bernint import (
+    DEFAULT_CACHE,
     IntegralSpec,
     ScaledValue,
     bernoulli_polynomial,
     c_term,
     closed_form_integral,
     closed_form_integral_poly,
+    norlund_value,
     oracle_integral,
     oracle_integral_poly,
     recurrence_integral,
     recurrence_residual_indices,
+    three_factor_at_one,
     three_factor_formula,
     two_factor_formula,
 )
+from bernint import integrals
 from bernint.bernoulli import Polynomial
 
 F = Fraction
@@ -215,8 +220,6 @@ class TestEmptyInterval:
 
 class TestConcurrency:
     def test_parallel_evaluation_with_cold_tables(self):
-        import threading
-
         upper = F(7, 11)  # not used elsewhere, so the value tables grow here
         work = [
             ks
@@ -242,6 +245,48 @@ class TestConcurrency:
         assert not errors
         for ks in work:
             assert results[ks] == oracle_integral_poly(ks)(upper), ks
+
+    def test_reader_never_sees_a_half_appended_table_entry(self, monkeypatch):
+        # Every append to the growing numerator list runs a reader before
+        # the matching denominator is appended: the interleaving another
+        # thread can hit.  The reader must get complete tables or go for the
+        # lock, which the grower holds, so here it finds the lock taken.
+        upper = F(5, 9)
+        seen = []
+
+        class LockTaken(Exception):
+            pass
+
+        class TryLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if not self.lock.acquire(blocking=False):
+                    raise LockTaken
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        class ReadingList(list):
+            def append(self, value):
+                super().append(value)
+                n = len(self) - 1
+                try:
+                    tables = integrals._scaled_tables(upper, n, DEFAULT_CACHE)
+                except LockTaken:
+                    seen.append("waits")
+                else:
+                    seen.append([len(t) > n for t in tables])
+
+        monkeypatch.setattr(integrals, "_TABLE_LOCK", TryLock())
+        monkeypatch.setattr(integrals, "_zero_table", ([], []))
+        monkeypatch.setattr(integrals, "_tables_at", {upper: (ReadingList(), [])})
+        xnum, xden, _, _ = integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
+        assert seen == ["waits"] * 13
+        assert [F(a, b) for a, b in zip(xnum, xden)] == [
+            bernoulli_polynomial(k)(upper) / math.factorial(k) for k in range(13)
+        ]
 
 
 class TestParity:
@@ -289,6 +334,22 @@ class TestInputContract:
         for entry in (IntegralSpec, oracle_integral, c_term, closed_form_integral):
             with pytest.raises(ValueError, match="nonnegative ints"):
                 entry(ks)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            norlund_value(*ks)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            three_factor_at_one(*ks, 2)
+
+    @pytest.mark.parametrize("mu", [True, 1.5], ids=["bool", "float"])
+    def test_mu_must_be_an_int(self, mu):
+        with pytest.raises(ValueError, match="mu must be an int"):
+            recurrence_integral((2, 2), 1, mu=mu)
+        with pytest.raises(ValueError, match="mu must be an int"):
+            recurrence_residual_indices((2, 2), mu)
+
+    def test_polynomial_evaluation_rejects_float(self):
+        # the value of an oracle polynomial, like the integrals, takes no float
+        with pytest.raises(ValueError, match="upper limit"):
+            oracle_integral_poly((2, 2))(0.1)
 
 
 index_tuples = st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple)
