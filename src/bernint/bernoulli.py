@@ -4,15 +4,21 @@ A polynomial is dense and stored as integer numerators over one common
 denominator: the coefficient of x^i is nums[i]/den, in canonical form (den > 0,
 gcd(den, *nums) = 1, no trailing zero; the zero polynomial is () over 1), so
 equal polynomials have equal storage and each operation reduces once.
-Bernoulli numbers use the B_1 = -1/2 convention and come from the recurrence
-sum_{j=0}^{n-1} C(n+1, j) B_j = -(n+1) B_n; the polynomials from the
-expansion B_n(x) = sum_j C(n, j) B_j x^{n-j}.  Both constructions are
-cross-checked in the test suite against an exact power-series expansion of
-t*e^{xt}/(e^t - 1), which is the defining generating function.
+Bernoulli numbers use the B_1 = -1/2 convention and come from the tangent
+numbers T_k (tan x = sum_k T_k x^{2k-1}/(2k-1)!) by Brent and Harvey's
+integer algorithm, "Fast computation of Bernoulli, tangent and secant
+numbers" (2011): B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and the odd
+numbers above B_1 vanish.  The polynomials come from the expansion
+B_n(x) = sum_j C(n, j) B_j x^{n-j}.  The test suite keeps the classical
+recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 and the Akiyama-Tanigawa
+algorithm as references for the numbers, and an exact power-series
+expansion of t*e^{xt}/(e^t - 1), the defining generating function, for the
+polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -157,34 +163,82 @@ class Polynomial:
         return out * Fraction(1, self._den)
 
 
+def _check_index(k: int) -> int:
+    """k, if it is a nonnegative int; a bool or a float is rejected too."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"Bernoulli indices must be nonnegative ints (got {k!r})")
+    return k
+
+
+def _tangent_bernoulli(m: int) -> list[Fraction]:
+    """B_0..B_m from the tangent numbers T_1..T_{m//2}.
+
+    Brent and Harvey's algorithm: start from T_k = (k-1)!, then sweep
+    T_j <- (j-k) T_{j-1} + (j-k+2) T_j for k = 2..n and j = k..n.  It takes
+    O(n^2) operations on integers and no gcd until each B_{2k} is reduced.
+    """
+    n = m // 2
+    t = [0] * (n + 1)
+    if n:
+        t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(0)] * (m + 1)
+    values[0] = Fraction(1)
+    if m:
+        values[1] = Fraction(-1, 2)
+    for k in range(1, n + 1):
+        four_k = 4**k
+        b = Fraction(2 * k * t[k], four_k * (four_k - 1))
+        values[2 * k] = b if k & 1 else -b
+    return values
+
+
+# polynomials each BernoulliCache memoizes, the most recently used kept
+_POLYNOMIAL_MEMO = 128
+
+
 class BernoulliCache:
     """Grow-only memo of Bernoulli numbers B_0, B_1, ... as Fractions.
 
-    Extending the table never changes existing entries, so concurrent reads
-    are safe; growth itself is serialized by an internal lock.  One shared
-    instance (`DEFAULT_CACHE`) backs the whole package by default.
+    A request past the end recomputes B_0..B_m, with m = max(k, twice the
+    current length), aside and publishes the new list in one assignment, so
+    a reader sees the old list or the new one and existing entries never
+    change; growth is serialized by an internal lock.  The cache also keeps
+    the last `_POLYNOMIAL_MEMO` polynomials `bernoulli_polynomial` built
+    from it.  One shared instance (`DEFAULT_CACHE`) backs the whole package
+    by default.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
+        self._polynomials = functools.lru_cache(maxsize=_POLYNOMIAL_MEMO)(self._build_polynomial)
 
     def __len__(self) -> int:
         return len(self._values)
 
     def number(self, k: int) -> Fraction:
         """Return B_k, growing the table if needed."""
-        if k < 0:
-            raise ValueError(f"Bernoulli numbers are indexed by k >= 0 (got {k})")
         values = self._values
-        if k < len(values):
+        if type(k) is int and 0 <= k < len(values):
             return values[k]
+        _check_index(k)
         with self._lock:
-            while len(values) <= k:
-                n = len(values)
-                s = sum(math.comb(n + 1, j) * values[j] for j in range(n))
-                values.append(Fraction(-s, n + 1))
-        return values[k]
+            if k >= len(self._values):
+                self._values = _tangent_bernoulli(max(k, 2 * len(self._values)))
+        return self._values[k]
+
+    def _build_polynomial(self, k: int) -> Polynomial:
+        bs = [self.number(j) for j in range(k, -1, -1)]  # coefficient of x^i uses B_{k-i}
+        den = math.lcm(*(b.denominator for b in bs))
+        return Polynomial._from_ints(
+            [math.comb(k, i) * b.numerator * (den // b.denominator) for i, b in enumerate(bs)],
+            den,
+        )
 
 
 DEFAULT_CACHE = BernoulliCache()
@@ -196,12 +250,9 @@ def bernoulli_number(k: int, cache: BernoulliCache | None = None) -> Fraction:
 
 
 def bernoulli_polynomial(k: int, cache: BernoulliCache | None = None) -> Polynomial:
-    """The Bernoulli polynomial B_k(x) with exact rational coefficients."""
-    if k < 0:
-        raise ValueError(f"Bernoulli polynomials are indexed by k >= 0 (got {k})")
-    cache = cache or DEFAULT_CACHE
-    bs = [cache.number(j) for j in range(k, -1, -1)]  # coefficient of x^i uses B_{k-i}
-    den = math.lcm(*(b.denominator for b in bs))
-    return Polynomial._from_ints(
-        [math.comb(k, i) * b.numerator * (den // b.denominator) for i, b in enumerate(bs)], den
-    )
+    """The Bernoulli polynomial B_k(x) with exact rational coefficients.
+
+    Memoized per cache: the cache keeps the polynomials of its 128 most
+    recently used indices.
+    """
+    return (cache or DEFAULT_CACHE)._polynomials(_check_index(k))

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import kernels
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
-from .bernoulli import _check_upper
+from .bernoulli import _check_index, _check_upper
 from .exact import binomial, compositions, multinomial
 
 Scalar = int | Fraction
@@ -63,8 +63,7 @@ def _check_indices(ks: Sequence[int]) -> tuple[int, ...]:
     if not ks:
         raise ValueError("need at least one polynomial index")
     for k in ks:
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError(f"polynomial indices must be nonnegative ints, got {ks!r}")
+        _check_index(k)
     return ks
 
 
@@ -113,36 +112,80 @@ def _factorial_product(ks: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLE_LOCK = threading.Lock()
-# upper -> parallel grow-only lists (xnum, xden) with xnum[k]/xden[k] = B_k(upper)/k!
-_tables_at: dict[Fraction, tuple[list[int], list[int]]] = {}
-# onum[k]/oden[k] = B_k/k!
+# upper -> (xnum, xden), tuples with xnum[k]/xden[k] = B_k(upper)/k!; a grown
+# table replaces the old one in one assignment, so a reader never sees it partial
+_tables_at: dict[Fraction, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# onum[k]/oden[k] = B_k/k!, extended in place, the denominators last
 _zero_table: tuple[list[int], list[int]] = ([], [])
+
+
+def _taylor_table(
+    upper: Fraction, n: int, cache: BernoulliCache
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """B_k(upper)/k! for k = 0..n as reduced (nums, dens), from one Taylor shift.
+
+    With upper = p/q and L the lcm of the denominators of B_0..B_n, the
+    polynomial R(s) = L q^n B_n(s/q) has the integer coefficient
+    C(n, i) L B_{n-i} q^{n-i} at s^i.  Since B_n(x + h) = sum_m C(n, m)
+    B_{n-m}(x) h^m, its shift R(s + p) = L q^n B_n(upper + s/q) has
+    L q^k C(n, k) B_k(upper) at s^{n-k}, so
+
+        B_k(upper)/k! = [s^{n-k}] R(s + p) / (L q^k n!/(n-k)!).
+
+    The shift is O(n^2) additions of p times a coefficient (repeated
+    synthetic division), and each entry then takes one gcd.
+    """
+    p, q = upper.numerator, upper.denominator
+    bs = [cache.number(j) for j in range(n, -1, -1)]  # B_{n-i}, from the top: one growth
+    lcm = math.lcm(*(b.denominator for b in bs))
+    coeffs = [0] * (n + 1)
+    binom, q_pow = 1, q**n  # C(n, i) and q^(n-i)
+    for i, b in enumerate(bs):
+        coeffs[i] = binom * b.numerator * (lcm // b.denominator) * q_pow
+        binom = binom * (n - i) // (i + 1)
+        q_pow //= q
+    if p:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                coeffs[j] += p * coeffs[j + 1]
+    nums, dens = [], []
+    den = lcm  # L q^k n!/(n-k)!
+    for k in range(n + 1):
+        num = coeffs[n - k]
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+        den *= q * (n - k)
+    return tuple(nums), tuple(dens)
 
 
 def _scaled_tables(
     upper: Fraction, n: int, cache: BernoulliCache
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n, as reduced int pairs."""
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]:
+    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n, as reduced int pairs.
+
+    A table that is missing or too short is rebuilt while the lock is held,
+    up to max(n, twice its old length), from one integer Taylor shift of
+    B_N (`_taylor_table` gives the derivation), so no polynomial is built or
+    evaluated per entry.  A table at an upper is published in one assignment
+    of tuples; the zero table is extended in place, numerators first.
+    """
     onum, oden = _zero_table
     t = _tables_at.get(upper)
-    # the denominators are appended last, so their length says an entry is complete
+    # the zero table's denominators are extended last, so their length says
+    # its entries are complete
     if t is not None and len(t[1]) > n and len(oden) > n:
         return t[0], t[1], onum, oden
     with _TABLE_LOCK:
-        while len(onum) <= n:
-            k = len(onum)
-            v = cache.number(k) / math.factorial(k)
-            onum.append(v.numerator)
-            oden.append(v.denominator)
-        if upper not in _tables_at:
-            _tables_at[upper] = ([], [])
-        xnum, xden = _tables_at[upper]
-        while len(xnum) <= n:
-            k = len(xnum)
-            v = bernoulli_polynomial(k, cache)(upper) / math.factorial(k)
-            xnum.append(v.numerator)
-            xden.append(v.denominator)
-    return xnum, xden, onum, oden
+        if len(oden) <= n:
+            nums, dens = _taylor_table(Fraction(0), max(n, 2 * len(oden)), cache)
+            onum.extend(nums[len(onum) :])
+            oden.extend(dens[len(oden) :])
+        t = _tables_at.get(upper)
+        old = len(t[1]) if t is not None else 0
+        if old <= n:
+            t = _tables_at[upper] = _taylor_table(upper, max(n, 2 * old), cache)
+    return t[0], t[1], onum, oden
 
 
 def _btilde(k: int, cache: BernoulliCache) -> Fraction:

@@ -8,6 +8,7 @@ gives the reduced result.
 from __future__ import annotations
 
 from math import factorial, gcd, lcm
+from typing import Sequence
 
 __all__ = ["active_backend", "closed_form_sum", "convolve"]
 
@@ -33,7 +34,7 @@ def convolve(a: list[int], b: list[int]) -> list[int]:
 
 
 def _boundary_sum(
-    heads: tuple[int, ...], kr: int, num: list[int], den: list[int]
+    heads: tuple[int, ...], kr: int, num: Sequence[int], den: Sequence[int]
 ) -> tuple[int, int]:
     """(n, d) with n/d = sum_a (-1)^a a! [t^a] prod_j P_j(t) * T_{kr+a+1}.
 
@@ -72,10 +73,10 @@ def _boundary_sum(
 
 def closed_form_sum(
     ks: tuple[int, ...],
-    xnum: list[int],
-    xden: list[int],
-    onum: list[int],
-    oden: list[int],
+    xnum: Sequence[int],
+    xden: Sequence[int],
+    onum: Sequence[int],
+    oden: Sequence[int],
 ) -> tuple[int, int]:
     """Scaled integral of B_{k_1}(z)...B_{k_r}(z) from 0 to x as reduced (num, den).
 

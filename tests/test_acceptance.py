@@ -5,12 +5,13 @@ All comparisons are exact rational equalities (tolerance 0).  Run with
 """
 
 import json
+import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from bernint import bernoulli_number, norlund_value, oracle_integral
+from bernint import bernoulli_number, closed_form_integral, norlund_value, oracle_integral
 from bernint.verify import (
     TABLE_ROWS,
     evaluate_table_expression,
@@ -159,3 +160,31 @@ def test_criterion_8_cli_contract():
     elapsed = time.perf_counter() - start
     report(8, "CLI contract", ok, elapsed, 10)
     assert ok
+
+
+def large_index_tuples(count: int, seed: int) -> list:
+    """Seeded (ks, upper): r = 2 or 3, index sums 200..700, uppers p/q with q <= 40."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        total = rng.randint(200, 700)
+        cuts = sorted(rng.sample(range(1, total), rng.choice((1, 2))))
+        ks = tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+        q = rng.randint(2, 40)
+        out.append((ks, F(rng.choice((-1, 1)) * rng.randint(1, 2 * q), q)))
+    return out
+
+
+def test_criterion_9_large_index_sweep():
+    start = time.perf_counter()
+    cases = large_index_tuples(20, seed=2012)
+    mismatches = [
+        (ks, upper)
+        for ks, upper in cases
+        if closed_form_integral(ks, upper) != oracle_integral(ks, upper)
+    ]
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and len(cases) == 20
+    report(9, "large-index closed form vs oracle", ok and elapsed < 30, elapsed, 30)
+    assert not mismatches
+    assert elapsed < 30

@@ -1,11 +1,13 @@
 """Bernoulli numbers, polynomials and the polynomial ring operations."""
 
+import math
 import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bernint import bernoulli
 from bernint.bernoulli import (
     BernoulliCache,
     Polynomial,
@@ -28,6 +30,23 @@ def akiyama_tanigawa(n):
     return out
 
 
+def recurrence(n):
+    """B_0..B_n from sum_{j=0}^{m} C(m+1, j) B_j = 0 (B_1 = -1/2 convention).
+
+    The classical recurrence, O(n^2) Fraction operations: a reference that
+    shares nothing with the tangent-number construction.
+    """
+    values = [F(1)]
+    for m in range(1, n + 1):
+        s = sum(math.comb(m + 1, j) * values[j] for j in range(m))
+        values.append(F(-s, m + 1))
+    return values
+
+
+def primes_upto(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
 class TestBernoulliNumbers:
     def test_first_values(self):
         assert bernoulli_number(0) == 1
@@ -40,6 +59,18 @@ class TestBernoulliNumbers:
         for k in range(25):
             want = -reference[k] if k == 1 else reference[k]
             assert bernoulli_number(k) == want, k
+
+    def test_against_recurrence(self):
+        cache = BernoulliCache()
+        assert [cache.number(k) for k in range(301)] == recurrence(300)
+
+    def test_von_staudt_clausen(self):
+        # the denominator of B_2k is the product of the primes p with (p - 1) | 2k
+        cache = BernoulliCache()
+        primes = primes_upto(501)
+        for k in range(1, 251):
+            want = math.prod(p for p in primes if (2 * k) % (p - 1) == 0)
+            assert cache.number(2 * k).denominator == want, 2 * k
 
     def test_odd_vanishing(self):
         for j in range(1, 11):
@@ -73,6 +104,21 @@ class TestBernoulliNumbers:
         for t in threads:
             t.join()
         assert not errors
+
+
+class TestIndexContract:
+    ENTRIES = {
+        "bernoulli_number": bernoulli_number,
+        "BernoulliCache.number": lambda k: BernoulliCache().number(k),
+        "bernoulli_polynomial": bernoulli_polynomial,
+    }
+
+    @pytest.mark.parametrize("k", [True, 2.0, -1], ids=["bool", "float", "negative"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_rejects_non_index(self, entry, k):
+        # True is an int to Python: unchecked, it would read B_1
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            self.ENTRIES[entry](k)
 
 
 class TestBernoulliPolynomials:
@@ -119,6 +165,14 @@ class TestBernoulliPolynomials:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bernoulli_polynomial(-2)
+
+    def test_memo_is_bounded(self):
+        cache = BernoulliCache()
+        bound = bernoulli._POLYNOMIAL_MEMO
+        for k in range(bound + 40):
+            assert bernoulli_polynomial(k, cache) is bernoulli_polynomial(k, cache)
+        assert cache._polynomials.cache_info().currsize == bound
+        assert bernoulli_polynomial(7, cache) == bernoulli_polynomial(7, BernoulliCache())
 
 
 class TestPolynomialOps:

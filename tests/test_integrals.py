@@ -7,6 +7,8 @@ integral_0^1 (x-1/2)^2 dx = 1/12 and integral_0^1 (x-1/2)^4 dx = 2*(1/2)^5/5
 
 import itertools
 import math
+import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from bernint import (
     DEFAULT_CACHE,
+    BernoulliCache,
     IntegralSpec,
     ScaledValue,
     bernoulli_polynomial,
@@ -247,10 +250,12 @@ class TestConcurrency:
             assert results[ks] == oracle_integral_poly(ks)(upper), ks
 
     def test_reader_never_sees_a_half_appended_table_entry(self, monkeypatch):
-        # Every append to the growing numerator list runs a reader before
-        # the matching denominator is appended: the interleaving another
-        # thread can hit.  The reader must get complete tables or go for the
-        # lock, which the grower holds, so here it finds the lock taken.
+        # A reader runs wherever a grower holds the lock with a table half
+        # done: after building a table aside, just before and just after
+        # publishing it at an upper, and after each in-place extension of
+        # the zero table (numerators, then denominators).  The reader must
+        # get complete tables, old or new, or go for the lock, which the
+        # grower holds, so here it finds the lock taken.
         upper = F(5, 9)
         seen = []
 
@@ -268,25 +273,101 @@ class TestConcurrency:
             def __exit__(self, *exc):
                 self.lock.release()
 
-        class ReadingList(list):
-            def append(self, value):
-                super().append(value)
-                n = len(self) - 1
+        def read(where):
+            for n in range(13):
                 try:
                     tables = integrals._scaled_tables(upper, n, DEFAULT_CACHE)
                 except LockTaken:
-                    seen.append("waits")
+                    seen.append((where, n, "waits"))
                 else:
-                    seen.append([len(t) > n for t in tables])
+                    seen.append((where, n, all(len(t) > n for t in tables)))
+
+        class ReadingList(list):
+            def extend(self, values):
+                super().extend(values)
+                read("extended")
+
+        class ReadingDict(dict):
+            def __setitem__(self, key, value):
+                read("publishing")
+                super().__setitem__(key, value)
+                read("published")
+
+        build = integrals._taylor_table
+
+        def reading_build(*args):
+            out = build(*args)
+            read("built")
+            return out
+
+        def expect(*steps):
+            # (where, m): complete tables for n <= m, the lock for larger n
+            return [(w, n, True if n <= m else "waits") for w, m in steps for n in range(13)]
 
         monkeypatch.setattr(integrals, "_TABLE_LOCK", TryLock())
-        monkeypatch.setattr(integrals, "_zero_table", ([], []))
-        monkeypatch.setattr(integrals, "_tables_at", {upper: (ReadingList(), [])})
+        monkeypatch.setattr(integrals, "_taylor_table", reading_build)
+        zero = build(F(0), 20, DEFAULT_CACHE)
+
+        # the table at upper grows from k <= 5 to k <= 12, the zero table is long
+        monkeypatch.setattr(integrals, "_zero_table", (list(zero[0]), list(zero[1])))
+        old = ReadingDict({upper: build(upper, 5, DEFAULT_CACHE)})
+        monkeypatch.setattr(integrals, "_tables_at", old)
         xnum, xden, _, _ = integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
-        assert seen == ["waits"] * 13
+        assert seen == expect(("built", 5), ("publishing", 5), ("published", 12))
         assert [F(a, b) for a, b in zip(xnum, xden)] == [
             bernoulli_polynomial(k)(upper) / math.factorial(k) for k in range(13)
         ]
+
+        # the zero table grows from k <= 3 to k <= 12, the table at upper is long
+        seen.clear()
+        short = (ReadingList(zero[0][:4]), ReadingList(zero[1][:4]))
+        monkeypatch.setattr(integrals, "_zero_table", short)
+        long = ReadingDict({upper: build(upper, 20, DEFAULT_CACHE)})
+        monkeypatch.setattr(integrals, "_tables_at", long)
+        _, _, onum, oden = integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
+        assert seen == expect(("built", 3), ("extended", 3), ("extended", 12))
+        assert (onum, oden) == (list(zero[0][:13]), list(zero[1][:13]))
+
+
+    def test_growth_under_fast_thread_switching(self, monkeypatch):
+        # More threads than cores grow the zero table, the tables at two
+        # uppers and a fresh cache's Bernoulli numbers at once, switching as
+        # often as the interpreter allows; every read must be whole and exact.
+        monkeypatch.setattr(integrals, "_zero_table", ([], []))
+        monkeypatch.setattr(integrals, "_tables_at", {})
+        cache = BernoulliCache()
+        points = (F(3, 13), F(-8, 5), F(0))
+        want = {
+            x: [bernoulli_polynomial(k)(x) / math.factorial(k) for k in range(61)]
+            for x in points
+        }
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    upper, n = rng.choice(points[:2]), rng.randint(0, 60)
+                    xnum, xden, onum, oden = integrals._scaled_tables(upper, n, cache)
+                    assert min(len(xnum), len(xden), len(onum), len(oden)) > n
+                    k = rng.randint(0, n)
+                    assert F(xnum[k], xden[k]) == want[upper][k], (upper, k)
+                    assert F(onum[k], oden[k]) == want[F(0)][k], k
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
 
 
 class TestParity:
@@ -355,6 +436,10 @@ class TestInputContract:
 index_tuples = st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple)
 long_index_tuples = st.lists(st.integers(0, 10), min_size=1, max_size=8).map(tuple)
 rational_uppers = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+table_uppers = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(2), F(-3)]),
+    st.builds(F, st.integers(-80, 80), st.integers(1, 40)),
+)
 bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
@@ -387,3 +472,19 @@ class TestProperties:
     def test_permutation_symmetry(self, ks_and_perm, upper):
         ks, perm = ks_and_perm
         assert closed_form_integral(tuple(perm), upper) == closed_form_integral(ks, upper)
+
+    @bounded
+    @given(table_uppers, st.integers(0, 80))
+    def test_scaled_tables_match_per_entry_values(self, x, n):
+        # the Taylor-shift tables against B_k(x)/k! from each polynomial
+        def reference(point):
+            return [bernoulli_polynomial(k)(point) / math.factorial(k) for k in range(n + 1)]
+
+        built = integrals._taylor_table(x, n, DEFAULT_CACHE)
+        assert len(built[0]) == len(built[1]) == n + 1
+        xnum, xden, onum, oden = integrals._scaled_tables(x, n, DEFAULT_CACHE)
+        at_x, at_0 = reference(x), reference(0)
+        for nums, dens, want in ((*built, at_x), (xnum, xden, at_x), (onum, oden, at_0)):
+            for k in range(n + 1):
+                assert dens[k] > 0 and math.gcd(nums[k], dens[k]) == 1
+                assert F(nums[k], dens[k]) == want[k], (x, k)

@@ -19,8 +19,9 @@ def box_walk(ks, xnum, xden, onum, oden):
     (-1)^a * multinomial(a; i) * (prod_j T_{k_j - i_j} * T_{k_r + a + 1})
     for the table at x minus the same for the table at 0.
     """
-    at_x = [F(n, d) for n, d in zip(xnum, xden)]
-    at_0 = [F(n, d) for n, d in zip(onum, oden)]
+    top = sum(ks) + 2  # the cached tables may run much further
+    at_x = [F(n, d) for n, d in zip(xnum[:top], xden[:top])]
+    at_0 = [F(n, d) for n, d in zip(onum[:top], oden[:top])]
     heads, kr = ks[:-1], ks[-1]
     total = F(0)
     for comp in itertools.product(*(range(k + 1) for k in heads)):
