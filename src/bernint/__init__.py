@@ -14,10 +14,9 @@ from .bernoulli import (
     bernoulli_number,
     bernoulli_polynomial,
 )
-from .exact import MultiIndex, Rational, binomial, compositions, factorial, multinomial
+from .exact import binomial, compositions, multinomial
 from .integrals import (
     IntegralSpec,
-    ScaledValue,
     c_term,
     closed_form_integral,
     closed_form_integral_poly,
@@ -40,10 +39,7 @@ __all__ = [
     "DEFAULT_CACHE",
     "BernoulliCache",
     "IntegralSpec",
-    "MultiIndex",
     "Polynomial",
-    "Rational",
-    "ScaledValue",
     "active_backend",
     "bernoulli_number",
     "bernoulli_polynomial",
@@ -52,7 +48,6 @@ __all__ = [
     "closed_form_integral",
     "closed_form_integral_poly",
     "compositions",
-    "factorial",
     "four_factor_at_one",
     "four_factor_even_sum",
     "multinomial",

@@ -14,27 +14,9 @@ polynomial of negative index come with a zero coefficient instead.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-Rational = Fraction
-MultiIndex = tuple[int, ...]
-
-__all__ = [
-    "MultiIndex",
-    "Rational",
-    "binomial",
-    "compositions",
-    "factorial",
-    "multinomial",
-]
-
-
-def factorial(n: int) -> int:
-    """Return n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial is undefined for negative n (got {n})")
-    return math.factorial(n)
+__all__ = ["binomial", "compositions", "multinomial"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -68,7 +50,7 @@ def multinomial(mu: int, parts: Sequence[int]) -> int:
     return out
 
 
-def compositions(total: int, parts: int) -> Iterator[MultiIndex]:
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Yield every tuple of `parts` nonnegative ints summing to `total`.
 
     Enumeration is lexicographic, e.g. (0,2), (1,1), (2,0); the number of

@@ -26,6 +26,7 @@ equalities.  The suites are the library-level counterpart of the CLI's
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
-from .exact import compositions, factorial
+from .exact import compositions
 from .integrals import (
     _factorial_product,
     _four_factor_case_terms,
@@ -133,17 +134,17 @@ def _series_bernoulli_polynomials(order: int) -> list[Polynomial]:
     used by `bernoulli_polynomial`.
     """
     e_coeffs = [
-        Polynomial([Fraction(0)] * m + [Fraction(1, factorial(m))])
+        Polynomial([Fraction(0)] * m + [Fraction(1, math.factorial(m))])
         for m in range(order + 1)
     ]
-    d_coeffs = [Fraction(1, factorial(m + 1)) for m in range(order + 1)]
+    d_coeffs = [Fraction(1, math.factorial(m + 1)) for m in range(order + 1)]
     q: list[Polynomial] = []
     for m in range(order + 1):
         acc = e_coeffs[m]
         for j in range(m):
             acc = acc - q[j] * d_coeffs[m - j]
         q.append(acc)
-    return [poly * factorial(m) for m, poly in enumerate(q)]
+    return [poly * math.factorial(m) for m, poly in enumerate(q)]
 
 
 def verify_identities(
@@ -583,14 +584,15 @@ def verify_carlitz4(
 # suite registry
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[..., VerificationReport]] = {
-    "identities": verify_identities,
-    "oracle": verify_oracle,
-    "symmetry": verify_symmetry,
-    "parity": verify_parity,
-    "mu": verify_mu,
-    "table": verify_table,
-    "carlitz4": verify_carlitz4,
+# name -> call with (max_sum, max_r, cache), forwarding the bounds each suite understands
+SUITES: dict[str, Callable[[int, int, BernoulliCache | None], VerificationReport]] = {
+    "identities": lambda max_sum, max_r, cache: verify_identities(max_sum, cache=cache),
+    "oracle": lambda max_sum, max_r, cache: verify_oracle(max_sum, max_r, cache=cache),
+    "symmetry": lambda max_sum, max_r, cache: verify_symmetry(max_r, cache=cache),
+    "parity": lambda max_sum, max_r, cache: verify_parity(max_sum, max_r, cache=cache),
+    "mu": lambda max_sum, max_r, cache: verify_mu(max_sum, max_r, cache=cache),
+    "table": lambda max_sum, max_r, cache: verify_table(cache=cache),
+    "carlitz4": lambda max_sum, max_r, cache: verify_carlitz4(max_sum, cache=cache),
 }
 
 
@@ -601,18 +603,6 @@ def run_suite(
     cache: BernoulliCache | None = None,
 ) -> VerificationReport:
     """Run a named suite, forwarding the bounds it understands."""
-    if name == "identities":
-        return verify_identities(max_index=max_sum, cache=cache)
-    if name == "oracle":
-        return verify_oracle(max_sum=max_sum, max_r=max_r, cache=cache)
-    if name == "symmetry":
-        return verify_symmetry(max_r=max_r, cache=cache)
-    if name == "parity":
-        return verify_parity(max_sum=max_sum, max_r=max_r, cache=cache)
-    if name == "mu":
-        return verify_mu(max_sum=max_sum, max_r=max_r, cache=cache)
-    if name == "table":
-        return verify_table(cache=cache)
-    if name == "carlitz4":
-        return verify_carlitz4(max_sum=max_sum, cache=cache)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
+    return SUITES[name](max_sum, max_r, cache)

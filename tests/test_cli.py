@@ -211,7 +211,6 @@ class TestBenchCommand:
         assert proc.returncode == 0
         record = json.loads(proc.stdout)
         assert record["agreed"] is True
-        assert record["backend"] == "pure"
         assert len(record["timings"]) == 3
         assert len({t["value"] for t in record["timings"]}) == 1
 

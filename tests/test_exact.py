@@ -5,26 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bernint.exact import binomial, compositions, factorial, multinomial
-
-
-class TestFactorial:
-    def test_empty_product(self):
-        assert factorial(0) == 1
-
-    def test_standard_value(self):
-        assert factorial(5) == 120
-
-    def test_against_iterated_multiplication(self):
-        product = 1
-        for n in range(1, 13):
-            product *= n
-            assert factorial(n) == product
-        assert factorial(12) == 479001600
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
+from bernint.exact import binomial, compositions, multinomial
 
 
 class TestBinomial:
@@ -122,7 +103,7 @@ small_fractions = st.fractions(
 
 
 class TestRationalAlgebra:
-    """Fraction is the package's Rational: reduced, positive denominator, exact."""
+    """Fraction, the package's rational type: reduced, positive denominator, exact."""
 
     @given(small_fractions, small_fractions, small_fractions)
     def test_field_laws(self, a, b, c):

@@ -19,7 +19,6 @@ from bernint import (
     DEFAULT_CACHE,
     BernoulliCache,
     IntegralSpec,
-    ScaledValue,
     bernoulli_polynomial,
     c_term,
     closed_form_integral,
@@ -84,6 +83,15 @@ class TestOracle:
             assert anti(0) == 0
             for upper in UPPERS:
                 assert anti(upper) == oracle_integral(ks, upper)
+
+    def test_oracle_cache_is_bounded(self):
+        cache = BernoulliCache()
+        bound = integrals._ORACLE_MEMO
+        side = math.isqrt(bound + 40) + 1
+        for ks in itertools.islice(itertools.product(range(side), repeat=2), bound + 40):
+            assert oracle_integral_poly(ks, cache) is oracle_integral_poly(ks, cache)
+        assert integrals._oracle_poly_cached.cache_info().currsize == bound
+        assert oracle_integral_poly((7, 3), cache) == oracle_integral_poly((7, 3), BernoulliCache())
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
@@ -202,15 +210,6 @@ class TestRecordTypes:
             IntegralSpec(())
         with pytest.raises(ValueError):
             IntegralSpec((1, -1))
-
-    def test_scaled_value_roundtrip(self):
-        ks = (2, 3, 1)
-        scale = math.factorial(2) * math.factorial(3) * math.factorial(1)
-        unscaled = closed_form_integral(ks)
-        tagged = ScaledValue(closed_form_integral(ks, scaled=True), scaled=True)
-        assert tagged.unscaled(ks) == unscaled
-        assert tagged.value * scale == unscaled
-        assert ScaledValue(unscaled, scaled=False).unscaled(ks) == unscaled
 
 
 class TestEmptyInterval:
