@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -201,6 +202,17 @@ def _tangent_bernoulli(m: int) -> list[Fraction]:
 _POLYNOMIAL_MEMO = 128
 
 
+def _build_polynomial(cache_ref: weakref.ref, k: int) -> Polynomial:
+    """B_k(x) from the numbers of the cache that `cache_ref` refers to."""
+    cache = cache_ref()
+    bs = [cache.number(j) for j in range(k, -1, -1)]  # coefficient of x^i uses B_{k-i}
+    den = math.lcm(*(b.denominator for b in bs))
+    return Polynomial._from_ints(
+        [math.comb(k, i) * b.numerator * (den // b.denominator) for i, b in enumerate(bs)],
+        den,
+    )
+
+
 class BernoulliCache:
     """Grow-only memo of Bernoulli numbers B_0, B_1, ... as Fractions.
 
@@ -216,7 +228,11 @@ class BernoulliCache:
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
-        self._polynomials = functools.lru_cache(maxsize=_POLYNOMIAL_MEMO)(self._build_polynomial)
+        # the memo reaches the cache through a weak reference, so the two form
+        # no cycle and a dropped cache is freed without the cyclic collector
+        self._polynomials = functools.lru_cache(maxsize=_POLYNOMIAL_MEMO)(
+            functools.partial(_build_polynomial, weakref.ref(self))
+        )
 
     def __len__(self) -> int:
         return len(self._values)
@@ -231,14 +247,6 @@ class BernoulliCache:
             if k >= len(self._values):
                 self._values = _tangent_bernoulli(max(k, 2 * len(self._values)))
         return self._values[k]
-
-    def _build_polynomial(self, k: int) -> Polynomial:
-        bs = [self.number(j) for j in range(k, -1, -1)]  # coefficient of x^i uses B_{k-i}
-        den = math.lcm(*(b.denominator for b in bs))
-        return Polynomial._from_ints(
-            [math.comb(k, i) * b.numerator * (den // b.denominator) for i, b in enumerate(bs)],
-            den,
-        )
 
 
 DEFAULT_CACHE = BernoulliCache()

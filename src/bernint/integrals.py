@@ -18,7 +18,9 @@ The specialized two-, three- and four-factor formulas (`two_factor_formula`,
 `norlund_value`, `three_factor_formula`, `three_factor_at_one`,
 `four_factor_at_one`, `four_factor_even_sum`) are the classical shapes those
 sums collapse to; all of them are swept against the oracle by the
-verification suites.  Everything is exact: index tuples hold nonnegative
+verification suites.  They read the cached scaled tables (B_n(x)/n! at the
+upper, B_n/n! at 0) as integers over one lcm per table, sum in ints and
+reduce once per result.  Everything is exact: index tuples hold nonnegative
 ints, upper limits are ints or Fractions (a float or a bool is rejected with
 ValueError), and results are Fractions.
 """
@@ -150,6 +152,25 @@ def _taylor_table(
     return tuple(nums), tuple(dens)
 
 
+def _zero_scaled(n: int, cache: BernoulliCache) -> tuple[list[int], list[int]]:
+    """The zero table B_k/k!, k = 0..n at least, as reduced int lists.
+
+    A short table is extended in place while the lock is held, up to
+    max(n, twice its old length), numerators first.
+    """
+    onum, oden = _zero_table
+    # the denominators are extended last, so their length says the
+    # entries are complete
+    if len(oden) > n:
+        return onum, oden
+    with _TABLE_LOCK:
+        if len(oden) <= n:
+            nums, dens = _taylor_table(Fraction(0), max(n, 2 * len(oden)), cache)
+            onum.extend(nums[len(onum) :])
+            oden.extend(dens[len(oden) :])
+    return onum, oden
+
+
 def _scaled_tables(
     upper: Fraction, n: int, cache: BernoulliCache
 ) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]:
@@ -159,31 +180,29 @@ def _scaled_tables(
     up to max(n, twice its old length), from one integer Taylor shift of
     B_N (`_taylor_table` gives the derivation), so no polynomial is built or
     evaluated per entry.  A table at an upper is published in one assignment
-    of tuples; the zero table is extended in place, numerators first.
+    of tuples; the zero table comes from `_zero_scaled`.
     """
-    onum, oden = _zero_table
+    onum, oden = _zero_scaled(n, cache)
     t = _tables_at.get(upper)
-    # the zero table's denominators are extended last, so their length says
-    # its entries are complete
-    if t is not None and len(t[1]) > n and len(oden) > n:
-        return t[0], t[1], onum, oden
-    with _TABLE_LOCK:
-        if len(oden) <= n:
-            nums, dens = _taylor_table(Fraction(0), max(n, 2 * len(oden)), cache)
-            onum.extend(nums[len(onum) :])
-            oden.extend(dens[len(oden) :])
-        t = _tables_at.get(upper)
-        old = len(t[1]) if t is not None else 0
-        if old <= n:
-            t = _tables_at[upper] = _taylor_table(upper, max(n, 2 * old), cache)
+    if t is None or len(t[1]) <= n:
+        with _TABLE_LOCK:
+            t = _tables_at.get(upper)
+            old = len(t[1]) if t is not None else 0
+            if old <= n:
+                t = _tables_at[upper] = _taylor_table(upper, max(n, 2 * old), cache)
     return t[0], t[1], onum, oden
 
 
-def _btilde(k: int, cache: BernoulliCache) -> Fraction:
-    """Scaled Bernoulli number B_k/k!, extended to 0 for negative k."""
-    if k < 0:
-        return Fraction(0)
-    return cache.number(k) / math.factorial(k)
+def _integer_table(
+    nums: Sequence[int], dens: Sequence[int], n: int
+) -> tuple[list[int], int]:
+    """Entries 0..n of a scaled table as (ints, L): ints[k]/L = nums[k]/dens[k].
+
+    L is the lcm of the denominators read, so a product of j entries is an
+    integer over L^j and a sum of such products needs no reduction.
+    """
+    lcm = math.lcm(*dens[: n + 1])
+    return [num * (lcm // den) for num, den in zip(nums[: n + 1], dens[: n + 1])], lcm
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +418,21 @@ def two_factor_formula(
     k, m = ks
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
-    xnum, xden, onum, oden = _scaled_tables(upper, k + m + 1, cache)
-
-    def b_at(n: int) -> Fraction:
-        return Fraction(xnum[n], xden[n]) * math.factorial(n)
-
-    acc = Fraction(0)
+    top = k + m + 1
+    xnum, xden, onum, oden = _scaled_tables(upper, top, cache)
+    x, lx = _integer_table(xnum, xden, top)
+    o, lo = _integer_table(onum, oden, top)
+    # B_n(x) = n! B~_n(x): the factorials ride in the weight, and the pair
+    # sums are integers over lx^2 and lo^2
+    acc_x = acc_o = 0
     for j in range(k + 1):
-        w = binomial(k + m + 1, k - j)
-        term = b_at(k - j) * b_at(m + j + 1) - cache.number(k - j) * cache.number(m + j + 1)
-        acc += (-w if j & 1 else w) * term
-    return Fraction(math.factorial(k) * math.factorial(m), math.factorial(k + m + 1)) * acc
+        w = binomial(top, k - j) * math.factorial(k - j) * math.factorial(m + j + 1)
+        if j & 1:
+            w = -w
+        acc_x += w * x[k - j] * x[m + j + 1]
+        acc_o += w * o[k - j] * o[m + j + 1]
+    num = math.factorial(k) * math.factorial(m) * (acc_x * lo**2 - acc_o * lx**2)
+    return Fraction(num, math.factorial(top) * (lx * lo) ** 2)
 
 
 def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -438,16 +461,24 @@ def three_factor_formula(
     n, m, k = ks
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
-    acc = Fraction(0)
+    top = n + m + k + 1
+    xnum, xden, onum, oden = _scaled_tables(upper, top, cache)
+    x, lx = _integer_table(xnum, xden, top)
+    o, lo = _integer_table(onum, oden, top)
+    # each cell's scaled boundary term C~ is (its x half over lx^3) minus
+    # (its 0 half over lo^3); the halves are summed apart as integers
+    acc_x = acc_o = 0
     for a in range(n + m + 1):
         sign = -1 if a & 1 else 1
         for i in range(a + 1):
             n1, m1 = n - a + i, m - i
             if n1 < 0 or m1 < 0:
                 continue
-            w = binomial(a, i)
-            acc += sign * w * c_term((n1, m1, k + a + 1), upper, scaled=True, cache=cache)
-    return acc * _factorial_product(ks)
+            w = sign * binomial(a, i)
+            acc_x += w * x[n1] * x[m1] * x[k + a + 1]
+            acc_o += w * o[n1] * o[m1] * o[k + a + 1]
+    num = (acc_x * lo**3 - acc_o * lx**3) * _factorial_product(ks)
+    return Fraction(num, (lx * lo) ** 3)
 
 
 def three_factor_at_one(
@@ -460,14 +491,16 @@ def three_factor_at_one(
     if (k + l + m) % 2:
         return Fraction(0)
     cache = cache or DEFAULT_CACHE
-    acc = Fraction(0)
-    for a in range(k + l + 1):
+    top = k + l + m
+    o, lo = _integer_table(*_zero_scaled(top, cache), top)
+    acc = 0  # over lo^2
+    for a in range(k + l):  # a = k + l would read B~_{-1} = 0
         w = binomial(a, l - 1) + binomial(a, k - 1)
         if w == 0:
             continue
-        acc += w * _btilde(m + a + 1, cache) * _btilde(k + l - a - 1, cache)
+        acc += w * o[m + a + 1] * o[k + l - a - 1]
     sign = 1 if (m + 1) % 2 == 0 else -1
-    return sign * _factorial_product((k, l, m)) * acc
+    return Fraction(sign * _factorial_product((k, l, m)) * acc, lo**2)
 
 
 def four_factor_even_sum(
@@ -484,25 +517,23 @@ def four_factor_even_sum(
         raise ValueError(f"need exactly four indices (got {len(ks)})")
     if sum(ks) % 2:
         raise ValueError(f"index sum must be even (got {ks}); the odd case is 0")
-    return sum(_triple_sum_by_class(ks, cache or DEFAULT_CACHE).values())
+    sums, den = _triple_class_sums(ks, cache or DEFAULT_CACHE)
+    return Fraction(sum(sums.values()), den)
 
 
-def _triple_sum_by_class(
+# parity class of a cell of the triple sum, by the parities of its three
+# reduced leading indices
+_TRIPLE_CLASSES = {(1, 0, 0): "A", (0, 1, 0): "B", (0, 0, 1): "C", (1, 1, 1): "D"}
+
+
+def _triple_class_sums(
     ks: tuple[int, int, int, int], cache: BernoulliCache
-) -> dict[str, Fraction]:
-    """Cells of the symmetrized triple sum, for an even index sum, by parity class.
-
-    The cell (i_1, i_2, i_3) of the box i_j <= k_j is
-    2 (-1)^(a+1) multinomial(a; i) B~_{k_1-i_1} B~_{k_2-i_2} B~_{k_3-i_3} B~_{k_4+a+1}
-    with a = i_1 + i_2 + i_3 and B~_n = B_n/n!.  Classes A/B/C: exactly one
-    of the three reduced leading indices is odd (first/second/third); D: all
-    three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
-    for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
-    `four_factor_even_sum`.
-    """
+) -> tuple[dict[str, int], int]:
+    """The class sums of `_triple_sum_by_class` as integers over one L^4."""
     k1, k2, k3, k4 = ks
-    table = [_btilde(n, cache) for n in range(k1 + k2 + k3 + k4 + 2)]
-    out = dict.fromkeys(("A", "B", "C", "D", "boundary"), Fraction(0))
+    top = k1 + k2 + k3 + k4 + 1
+    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    out = dict.fromkeys(("A", "B", "C", "D", "boundary"), 0)
     for i1 in range(k1 + 1):
         b1 = table[k1 - i1]
         if b1 == 0:
@@ -523,14 +554,72 @@ def _triple_sum_by_class(
                 if (k4 + a + 1) % 2:
                     label = "boundary"
                 else:
-                    label = {
-                        (1, 0, 0): "A",
-                        (0, 1, 0): "B",
-                        (0, 0, 1): "C",
-                        (1, 1, 1): "D",
-                    }[((k1 - i1) % 2, (k2 - i2) % 2, (k3 - i3) % 2)]
+                    label = _TRIPLE_CLASSES[((k1 - i1) % 2, (k2 - i2) % 2, (k3 - i3) % 2)]
                 out[label] += value
-    return out
+    return out, lcm**4
+
+
+def _triple_sum_by_class(
+    ks: tuple[int, int, int, int], cache: BernoulliCache
+) -> dict[str, Fraction]:
+    """Cells of the symmetrized triple sum, for an even index sum, by parity class.
+
+    The cell (i_1, i_2, i_3) of the box i_j <= k_j is
+    2 (-1)^(a+1) multinomial(a; i) B~_{k_1-i_1} B~_{k_2-i_2} B~_{k_3-i_3} B~_{k_4+a+1}
+    with a = i_1 + i_2 + i_3 and B~_n = B_n/n!.  Classes A/B/C: exactly one
+    of the three reduced leading indices is odd (first/second/third); D: all
+    three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
+    for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
+    `four_factor_even_sum`.  With the zero table read as integers N_n over
+    one lcm L (N_n / L = B~_n), each class is an integer sum over L^4,
+    reduced once.
+    """
+    sums, den = _triple_class_sums(ks, cache)
+    return {label: Fraction(num, den) for label, num in sums.items()}
+
+
+def _four_factor_case_sums(
+    ks: tuple[int, int, int, int], table: list[int], lcm: int, first_a: int
+) -> tuple[dict[str, int], int]:
+    """The case terms of `_four_factor_case_terms` as integers over one 2 L^3.
+
+    `table` is the zero table as integers over `lcm`, read to k1+k2+k3+k4+1.
+    """
+    k1, k2, k3, k4 = ks
+
+    def case_sum(lead: int, pair_hi: int, other: int) -> int:
+        # lead plays the role of the index pinned to 1; the inner binomial
+        # sum runs over the split of the remaining budget a - lead + 1.
+        # Returns the sum over L^3.
+        acc = 0
+        for a in range(first_a, k1 + k2 + k3 + 1):
+            bt = table[k4 + a + 1]
+            if bt == 0:
+                continue
+            w = binomial(a, lead - 1)
+            if w == 0:
+                continue
+            inner = 0
+            # B~ of a negative index is 0: i runs where both indices are >= 0
+            for i in range(max(0, a + 1 - pair_hi), min(a - lead + 2, other + 1)):
+                inner += binomial(a - lead + 1, i) * table[other - i] * table[pair_hi + i - a - 1]
+            acc += (bt if a % 2 == 0 else -bt) * w * inner
+        return acc
+
+    d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
+    d_index = k1 + k2 + k3 + k4 - 2
+    d_term = (  # over 2 L
+        d_sign
+        * binomial(k1 + k2 + k3 - 3, k1 - 1)
+        * binomial(k2 + k3 - 2, k2 - 1)
+        * (table[d_index] if d_index >= 0 else 0)
+    )
+    return {
+        "A": 2 * case_sum(k1, k1 + k2, k3),
+        "B": 2 * case_sum(k2, k2 + k3, k1),
+        "C": 2 * case_sum(k3, k2 + k3, k1),
+        "D": d_term * lcm**2,
+    }, 2 * lcm**3
 
 
 def _four_factor_case_terms(
@@ -541,46 +630,14 @@ def _four_factor_case_terms(
     A, B and C are the case sums in which the first, second or third reduced
     index is the odd one (pinned to 1), summed over a >= `first_a`; D is the
     closed term for the all-odd cell.  `four_factor_at_one` adds them up.
+    With the zero table read as integers N_n over one lcm L (N_n / L = B~_n),
+    each case sum is an integer over L^3 and D an integer over 2 L, and each
+    term is reduced once.
     """
-    k1, k2, k3, k4 = ks
-    top = k1 + k2 + k3 + k4 + 1  # the largest index any term reads
-    table = [_btilde(n, cache) for n in range(top + 1)]
-
-    def btil(n: int) -> Fraction:
-        return table[n] if n >= 0 else Fraction(0)
-
-    def case_sum(lead: int, pair_hi: int, other: int) -> Fraction:
-        # lead plays the role of the index pinned to 1; the inner binomial
-        # sum runs over the split of the remaining budget a - lead + 1.
-        acc = Fraction(0)
-        for a in range(first_a, k1 + k2 + k3 + 1):
-            bt = btil(k4 + a + 1)
-            if bt == 0:
-                continue
-            w = binomial(a, lead - 1)
-            if w == 0:
-                continue
-            inner = Fraction(0)
-            for i in range(a - lead + 2):
-                inner += (
-                    binomial(a - lead + 1, i) * btil(other - i) * btil(pair_hi + i - a - 1)
-                )
-            acc += (bt if a % 2 == 0 else -bt) * w * inner
-        return acc
-
-    d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
-    d_term = (
-        Fraction(d_sign, 2)
-        * binomial(k1 + k2 + k3 - 3, k1 - 1)
-        * binomial(k2 + k3 - 2, k2 - 1)
-        * btil(k1 + k2 + k3 + k4 - 2)
-    )
-    return {
-        "A": case_sum(k1, k1 + k2, k3),
-        "B": case_sum(k2, k2 + k3, k1),
-        "C": case_sum(k3, k2 + k3, k1),
-        "D": d_term,
-    }
+    top = sum(ks) + 1
+    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    sums, den = _four_factor_case_sums(ks, table, lcm, first_a)
+    return {name: Fraction(num, den) for name, num in sums.items()}
 
 
 def four_factor_at_one(
@@ -619,7 +676,10 @@ def four_factor_at_one(
         return Fraction(0)
     cache = cache or DEFAULT_CACHE
     replace_a0 = variant == "corrected" and k4 == 0
-    acc = sum(_four_factor_case_terms(ks, cache, first_a=int(replace_a0)).values())
+    top = sum(ks) + 1
+    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    sums, den = _four_factor_case_sums(ks, table, lcm, first_a=int(replace_a0))
+    acc = sum(sums.values())  # over den = 2 L^3
     if replace_a0:
-        acc += _btilde(k1, cache) * _btilde(k2, cache) * _btilde(k3, cache)
-    return acc * _factorial_product(ks)
+        acc += 2 * table[k1] * table[k2] * table[k3]
+    return Fraction(acc * _factorial_product(ks), den)

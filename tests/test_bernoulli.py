@@ -1,7 +1,9 @@
 """Bernoulli numbers, polynomials and the polynomial ring operations."""
 
+import gc
 import math
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -173,6 +175,18 @@ class TestBernoulliPolynomials:
             assert bernoulli_polynomial(k, cache) is bernoulli_polynomial(k, cache)
         assert cache._polynomials.cache_info().currsize == bound
         assert bernoulli_polynomial(7, cache) == bernoulli_polynomial(7, BernoulliCache())
+
+    def test_dropped_cache_is_freed_without_gc(self):
+        # the polynomial memo must not hold its cache in a reference cycle
+        gc.disable()
+        try:
+            cache = BernoulliCache()
+            bernoulli_polynomial(9, cache)
+            ref = weakref.ref(cache)
+            del cache
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestPolynomialOps:

@@ -183,6 +183,41 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self):
         assert run_cli("verify", "--suite", "everything").returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (
+                ["--suite", "carlitz4", "--max-sum", "16"],
+                {
+                    "suite": "carlitz4", "attempted": 2685, "passed": 2685,
+                    "notes": [
+                        "printed variant disagrees with the oracle on 189 of 2685 even-sum "
+                        "tuples, all with k4 = 0 (the dropped a = 0 boundary cell); the "
+                        "corrected variant matches everywhere",
+                        "case terms A-D match their parity classes on every tuple with k4 >= 1",
+                    ],
+                },
+            ),
+            (
+                ["--suite", "oracle"],
+                {
+                    "suite": "oracle", "attempted": 6636, "passed": 6636,
+                    "notes": [
+                        "r in (1, 2, 3, 4), entries <= 6, index sum <= 12, "
+                        "uppers ['1', '1/2', '2', '-1/3']"
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_formula_suite_records_are_pinned(self, argv, want, capsys):
+        # the full JSON record of the suites that check the specialized
+        # formulas, all but its timing
+        assert cli.main(["verify", *argv, "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        del record["time_us"]
+        assert record == {"command": "verify", **want, "ok": True, "first_failure": None}
+
     def test_negative_bounds_usage_error(self, capsys):
         # a negative bound used to run zero instances and report PASS
         for flag in ("--max-sum", "--max-r"):

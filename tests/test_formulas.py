@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bernint import (
     bernoulli_number,
@@ -165,3 +166,45 @@ class TestFourFactorEvenSum:
             four_factor_even_sum((1, 1, 1, 2))
         with pytest.raises(ValueError):
             four_factor_even_sum((1, 1, 1))
+
+
+# the bounded settings of tests/test_integrals.py
+bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+uppers = st.builds(F, st.integers(-80, 80), st.integers(1, 40))
+
+
+def entries(top, size, low=0):
+    return st.tuples(*[st.integers(low, top)] * size)
+
+
+class TestFormulaProperties:
+    """Rational uppers and indices beyond the exhaustive sweeps' box."""
+
+    @bounded
+    @given(entries(25, 2), uppers)
+    def test_two_factor(self, ks, upper):
+        assert two_factor_formula(*ks, upper) == oracle_integral(ks, upper)
+
+    @bounded
+    @given(entries(10, 3), uppers)
+    def test_three_factor(self, ks, upper):
+        assert three_factor_formula(*ks, upper) == oracle_integral(ks, upper)
+
+    @bounded
+    @given(entries(8, 3, low=1))
+    def test_three_factor_at_one(self, ks):
+        assert three_factor_at_one(*ks) == oracle_integral(ks)
+
+    @bounded
+    @given(entries(8, 4))
+    def test_four_factor_at_one(self, ks):
+        want = oracle_integral(ks)
+        assert four_factor_at_one(*ks) == want
+        if ks[3] >= 1:
+            assert four_factor_at_one(*ks, variant="printed") == want
+
+    @bounded
+    @given(entries(8, 4))
+    def test_four_factor_even_sum(self, ks):
+        assume(sum(ks) % 2 == 0)
+        assert four_factor_even_sum(ks) * scale(ks) == oracle_integral(ks)
