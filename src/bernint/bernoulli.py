@@ -48,7 +48,10 @@ def _check_upper(x: Scalar) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"the upper limit or point must be an int or a Fraction, got {x!r}")
+    raise ValueError(
+        "an upper limit, point, coefficient or scalar operand must be an int or a "
+        f"Fraction, got {x!r}"
+    )
 
 
 class Polynomial:
@@ -56,12 +59,14 @@ class Polynomial:
 
     Held as integer numerators `_nums` over one denominator `_den`, in the
     canonical form of the module docstring; `coeffs` gives reduced Fractions.
+    Coefficients and scalar operands of + and * must be ints or Fractions,
+    as for `_check_upper`.
     """
 
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_check_upper(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         p = self._from_ints([c.numerator * (den // c.denominator) for c in cs], den)
         self._nums, self._den = p._nums, p._den
@@ -128,7 +133,7 @@ class Polynomial:
         return Polynomial._from_ints([-n for n in self._nums], self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return self + (-other)
+        return -(-self + other)  # a scalar reaches __add__'s check unnegated
 
     def __rsub__(self, other: Scalar) -> Polynomial:
         return -self + other

@@ -85,16 +85,15 @@ def _integral_value(spec: IntegralSpec, method: str) -> Fraction:
         return closed_form_integral(spec.ks, spec.upper)
     if method == "oracle":
         return oracle_integral(spec.ks, spec.upper)
-    if method.startswith("recurrence"):
-        _, _, mu_text = method.partition(":")
-        try:
-            mu = int(mu_text) if mu_text else 1
-        except ValueError:
-            raise _UsageError(f"bad recurrence depth {mu_text!r}") from None
-        return recurrence_integral(spec.ks, spec.upper, mu) * _factorial_product(spec.ks)
     if method == "auto":
         return _auto_value(spec)
-    raise _UsageError(f"unknown method {method!r}")
+    m = re.fullmatch(r"recurrence(?::([0-9]+))?", method)
+    if m:
+        mu = int(m.group(1) or 1)
+        return recurrence_integral(spec.ks, spec.upper, mu) * _factorial_product(spec.ks)
+    raise _UsageError(
+        f"unknown method {method!r}; use closed, oracle, auto, recurrence or recurrence:<mu>"
+    )
 
 
 def _auto_value(spec: IntegralSpec) -> Fraction:

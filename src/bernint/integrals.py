@@ -422,17 +422,16 @@ def two_factor_formula(
     xnum, xden, onum, oden = _scaled_tables(upper, top, cache)
     x, lx = _integer_table(xnum, xden, top)
     o, lo = _integer_table(onum, oden, top)
-    # B_n(x) = n! B~_n(x): the factorials ride in the weight, and the pair
-    # sums are integers over lx^2 and lo^2
+    # with B_n = n! B~_n the weight C(top, k-j) (k-j)! (m+j+1)! / top! of
+    # each pair is 1, since (k-j) + (m+j+1) = top; the pair sums are
+    # integers over lx^2 and lo^2
     acc_x = acc_o = 0
     for j in range(k + 1):
-        w = binomial(top, k - j) * math.factorial(k - j) * math.factorial(m + j + 1)
-        if j & 1:
-            w = -w
-        acc_x += w * x[k - j] * x[m + j + 1]
-        acc_o += w * o[k - j] * o[m + j + 1]
+        sign = -1 if j & 1 else 1
+        acc_x += sign * x[k - j] * x[m + j + 1]
+        acc_o += sign * o[k - j] * o[m + j + 1]
     num = math.factorial(k) * math.factorial(m) * (acc_x * lo**2 - acc_o * lx**2)
-    return Fraction(num, math.factorial(top) * (lx * lo) ** 2)
+    return Fraction(num, (lx * lo) ** 2)
 
 
 def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -470,10 +469,8 @@ def three_factor_formula(
     acc_x = acc_o = 0
     for a in range(n + m + 1):
         sign = -1 if a & 1 else 1
-        for i in range(a + 1):
+        for i in range(max(0, a - n), min(a, m) + 1):  # n1, m1 >= 0
             n1, m1 = n - a + i, m - i
-            if n1 < 0 or m1 < 0:
-                continue
             w = sign * binomial(a, i)
             acc_x += w * x[n1] * x[m1] * x[k + a + 1]
             acc_o += w * o[n1] * o[m1] * o[k + a + 1]
@@ -529,7 +526,18 @@ _TRIPLE_CLASSES = {(1, 0, 0): "A", (0, 1, 0): "B", (0, 0, 1): "C", (1, 1, 1): "D
 def _triple_class_sums(
     ks: tuple[int, int, int, int], cache: BernoulliCache
 ) -> tuple[dict[str, int], int]:
-    """The class sums of `_triple_sum_by_class` as integers over one L^4."""
+    """Cells of the symmetrized triple sum, for an even index sum, by parity class.
+
+    The cell (i_1, i_2, i_3) of the box i_j <= k_j is
+    2 (-1)^(a+1) multinomial(a; i) B~_{k_1-i_1} B~_{k_2-i_2} B~_{k_3-i_3} B~_{k_4+a+1}
+    with a = i_1 + i_2 + i_3 and B~_n = B_n/n!.  Classes A/B/C: exactly one
+    of the three reduced leading indices is odd (first/second/third); D: all
+    three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
+    for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
+    `four_factor_even_sum`.  With the zero table read as integers N_n over
+    one lcm L (N_n / L = B~_n), each class is an integer sum over L^4;
+    returns (sums, L^4).
+    """
     k1, k2, k3, k4 = ks
     top = k1 + k2 + k3 + k4 + 1
     table, lcm = _integer_table(*_zero_scaled(top, cache), top)
@@ -559,40 +567,30 @@ def _triple_class_sums(
     return out, lcm**4
 
 
-def _triple_sum_by_class(
-    ks: tuple[int, int, int, int], cache: BernoulliCache
-) -> dict[str, Fraction]:
-    """Cells of the symmetrized triple sum, for an even index sum, by parity class.
-
-    The cell (i_1, i_2, i_3) of the box i_j <= k_j is
-    2 (-1)^(a+1) multinomial(a; i) B~_{k_1-i_1} B~_{k_2-i_2} B~_{k_3-i_3} B~_{k_4+a+1}
-    with a = i_1 + i_2 + i_3 and B~_n = B_n/n!.  Classes A/B/C: exactly one
-    of the three reduced leading indices is odd (first/second/third); D: all
-    three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
-    for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
-    `four_factor_even_sum`.  With the zero table read as integers N_n over
-    one lcm L (N_n / L = B~_n), each class is an integer sum over L^4,
-    reduced once.
-    """
-    sums, den = _triple_class_sums(ks, cache)
-    return {label: Fraction(num, den) for label, num in sums.items()}
-
-
 def _four_factor_case_sums(
-    ks: tuple[int, int, int, int], table: list[int], lcm: int, first_a: int
+    ks: tuple[int, int, int, int], cache: BernoulliCache, corrected: bool = False
 ) -> tuple[dict[str, int], int]:
-    """The case terms of `_four_factor_case_terms` as integers over one 2 L^3.
+    """The parity-case terms A-D of the four-factor formula, evaluated separately.
 
-    `table` is the zero table as integers over `lcm`, read to k1+k2+k3+k4+1.
+    A, B and C are the case sums in which the first, second or third reduced
+    index is the odd one (pinned to 1); D is the closed term for the all-odd
+    cell.  `four_factor_at_one` adds them up.  When `corrected` and k4 == 0,
+    the case sums skip a = 0 and an extra term "a0" holds that cell's true
+    value B~_{k1} B~_{k2} B~_{k3}.  With the zero table read as integers
+    N_n over one lcm L (N_n / L = B~_n), the case sums are integers over L^3
+    and D over 2 L; returns (terms, 2 L^3).
     """
     k1, k2, k3, k4 = ks
+    top = k1 + k2 + k3 + k4 + 1
+    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    replace_a0 = corrected and k4 == 0
 
     def case_sum(lead: int, pair_hi: int, other: int) -> int:
         # lead plays the role of the index pinned to 1; the inner binomial
         # sum runs over the split of the remaining budget a - lead + 1.
         # Returns the sum over L^3.
         acc = 0
-        for a in range(first_a, k1 + k2 + k3 + 1):
+        for a in range(int(replace_a0), k1 + k2 + k3 + 1):
             bt = table[k4 + a + 1]
             if bt == 0:
                 continue
@@ -614,30 +612,15 @@ def _four_factor_case_sums(
         * binomial(k2 + k3 - 2, k2 - 1)
         * (table[d_index] if d_index >= 0 else 0)
     )
-    return {
+    out = {
         "A": 2 * case_sum(k1, k1 + k2, k3),
         "B": 2 * case_sum(k2, k2 + k3, k1),
         "C": 2 * case_sum(k3, k2 + k3, k1),
         "D": d_term * lcm**2,
-    }, 2 * lcm**3
-
-
-def _four_factor_case_terms(
-    ks: tuple[int, int, int, int], cache: BernoulliCache, first_a: int = 0
-) -> dict[str, Fraction]:
-    """The parity-case terms A-D of the four-factor formula, evaluated separately.
-
-    A, B and C are the case sums in which the first, second or third reduced
-    index is the odd one (pinned to 1), summed over a >= `first_a`; D is the
-    closed term for the all-odd cell.  `four_factor_at_one` adds them up.
-    With the zero table read as integers N_n over one lcm L (N_n / L = B~_n),
-    each case sum is an integer over L^3 and D an integer over 2 L, and each
-    term is reduced once.
-    """
-    top = sum(ks) + 1
-    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
-    sums, den = _four_factor_case_sums(ks, table, lcm, first_a)
-    return {name: Fraction(num, den) for name, num in sums.items()}
+    }
+    if replace_a0:
+        out["a0"] = 2 * table[k1] * table[k2] * table[k3]
+    return out, 2 * lcm**3
 
 
 def four_factor_at_one(
@@ -653,7 +636,7 @@ def four_factor_at_one(
     The case analysis splits the symmetrized triple sum by which of the
     first three reduced indices is odd (an odd reduced index contributes
     only when it equals 1), plus a closed term for the all-odd cell; see
-    `_four_factor_case_terms`.  The `variant` flag selects:
+    `_four_factor_case_sums`.  The `variant` flag selects:
 
     * "printed": the case formula exactly as classically stated.  Its
       derivation assumes the trailing scaled Bernoulli factor vanishes for
@@ -671,15 +654,7 @@ def four_factor_at_one(
     if variant not in ("printed", "corrected"):
         raise ValueError(f"variant must be 'printed' or 'corrected' (got {variant!r})")
     ks = _check_indices((k1, k2, k3, k4))
-    k1, k2, k3, k4 = ks
     if sum(ks) % 2:
         return Fraction(0)
-    cache = cache or DEFAULT_CACHE
-    replace_a0 = variant == "corrected" and k4 == 0
-    top = sum(ks) + 1
-    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
-    sums, den = _four_factor_case_sums(ks, table, lcm, first_a=int(replace_a0))
-    acc = sum(sums.values())  # over den = 2 L^3
-    if replace_a0:
-        acc += 2 * table[k1] * table[k2] * table[k3]
-    return Fraction(acc * _factorial_product(ks), den)
+    sums, den = _four_factor_case_sums(ks, cache or DEFAULT_CACHE, variant == "corrected")
+    return Fraction(sum(sums.values()) * _factorial_product(ks), den)

@@ -367,5 +367,16 @@ class TestIntegerStorage:
 
     @pytest.mark.parametrize("x", [0.5, True, "1/2"], ids=["float", "bool", "str"])
     def test_evaluation_rejects_non_rationals(self, x):
-        with pytest.raises(ValueError, match="int or a Fraction"):
-            Polynomial([1, 2])(x)
+        p = Polynomial([1, 2])
+        for use in (
+            lambda: p(x),
+            lambda: Polynomial([1, x]),
+            lambda: p + x,
+            lambda: x + p,
+            lambda: p - x,
+            lambda: x - p,
+            lambda: p * x,
+            lambda: x * p,
+        ):
+            with pytest.raises(ValueError, match="int or a Fraction"):
+                use()

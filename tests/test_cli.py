@@ -106,8 +106,14 @@ class TestIntegralCommand:
     def test_bad_recurrence_depth_usage_error(self):
         assert run_cli("integral", "--ks", "1,1", "--method", "recurrence:0").returncode == 2
 
-    def test_unknown_method_usage_error(self):
-        assert run_cli("integral", "--ks", "1,1", "--method", "magic").returncode == 2
+    def test_unknown_method_usage_error(self, capsys):
+        for command in ("integral", "bench"):
+            for method in ("magic", "recurrencefoo", "recurrence-7", "recurrences",
+                           "recurrence:", "recurrence: 2", "recurrence:3_0"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, "--ks", "1,1", "--method", method])
+                assert exc.value.code == 2
+                assert method in capsys.readouterr().err
 
 
 class TestAutoMethod:

@@ -97,6 +97,22 @@ def test_carlitz4():
     assert any("case terms A-D match" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("term", ["A", "B", "C", "D"])
+def test_carlitz4_case_decomposition_can_fail(monkeypatch, term):
+    import bernint.verify as verify
+
+    case_sums = verify._four_factor_case_sums
+
+    def off_by_one(*args, **kwargs):
+        sums, den = case_sums(*args, **kwargs)
+        return {**sums, term: sums[term] + 1}, den
+
+    monkeypatch.setattr(verify, "_four_factor_case_sums", off_by_one)
+    report = verify_carlitz4(max_sum=6)
+    assert not report.ok
+    assert report.first_failure["got"] == "case decomposition mismatch"
+
+
 def test_empty_sweep_does_not_pass():
     assert not VerificationReport("oracle").ok
     report = verify_oracle(max_sum=-3)
