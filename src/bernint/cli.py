@@ -44,7 +44,7 @@ from .verify import SUITES, VerificationReport, run_suite
 
 __all__ = ["format_rational", "main", "parse_index_list", "parse_rational"]
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -63,9 +63,16 @@ def format_rational(value: Fraction) -> str:
 def parse_index_list(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of nonnegative integers."""
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not re.fullmatch(r"\d+", p) for p in parts):
+    if not parts or any(not re.fullmatch(r"[0-9]+", p) for p in parts):
         raise ValueError(f"--ks must be comma-separated nonnegative integers, got {text!r}")
     return tuple(int(p) for p in parts)
+
+
+def _ascii_int(text: str) -> int:
+    """argparse type for integer arguments: ASCII digits with an optional minus."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
 
 
 class _UsageError(Exception):
@@ -256,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("--suite", required=True, choices=sorted(SUITES),
                    help="which sweep to run")
-    p.add_argument("--max-sum", type=int, default=12, dest="max_sum",
+    p.add_argument("--max-sum", type=_ascii_int, default=12, dest="max_sum",
                    help="bound on the index sum (default: 12)")
-    p.add_argument("--max-r", type=int, default=4, dest="max_r",
+    p.add_argument("--max-r", type=_ascii_int, default=4, dest="max_r",
                    help="bound on the number of factors (default: 4)")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
@@ -268,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", default="1", help='upper limit as "p/q" (default: 1)')
     p.add_argument("--method", default="closed,oracle",
                    help="comma-separated methods to compare (default: closed,oracle)")
-    p.add_argument("--reps", type=int, default=5, help="repetitions per method (default: 5)")
+    p.add_argument("--reps", type=_ascii_int, default=5,
+                   help="repetitions per method (default: 5)")
     add_format(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("bernoulli", help="Bernoulli numbers and polynomials")
     p.add_argument("kind", choices=("number", "poly"))
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_ascii_int)
     add_format(p)
     p.set_defaults(func=_cmd_bernoulli)
 

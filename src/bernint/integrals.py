@@ -101,20 +101,19 @@ def _factorial_product(ks: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLE_LOCK = threading.Lock()
-# upper -> (xnum, xden), tuples with xnum[k]/xden[k] = B_k(upper)/k!; a grown
-# table replaces the old one in one assignment, so a reader never sees it partial.
-# Unbounded on purpose: a caller that cycles through many uppers (the bigk
-# benchmark's 1,020) would turn every hit into a rebuild under any LRU smaller
-# than its cycle; there a request takes a median 1.4 ms with its table cached
-# and 8.2 ms with a rebuild (Python 3.11, 2 x86-64 vCPUs)
-_tables_at: dict[Fraction, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-# onum[k]/oden[k] = B_k/k!, extended in place, the denominators last
+# upper -> (xnum, xden), lists with xnum[k]/xden[k] = B_k(upper)/k!, grown in
+# place by `_grown`.  Unbounded on purpose: a caller that cycles through many
+# uppers (the bigk benchmark's 1,020) would turn every hit into a rebuild under
+# any LRU smaller than its cycle; there a request takes a median 1.4 ms with
+# its table cached and 8.2 ms with a rebuild (Python 3.11, 2 x86-64 vCPUs)
+_tables_at: dict[Fraction, tuple[list[int], list[int]]] = {}
+# onum[k]/oden[k] = B_k/k!, the table at 0, grown the same way
 _zero_table: tuple[list[int], list[int]] = ([], [])
 
 
 def _taylor_table(
     upper: Fraction, n: int, cache: BernoulliCache
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[list[int], list[int]]:
     """B_k(upper)/k! for k = 0..n as reduced (nums, dens), from one Taylor shift.
 
     With upper = p/q and L the lcm of the denominators of B_0..B_n, the
@@ -149,48 +148,45 @@ def _taylor_table(
         nums.append(num // g)
         dens.append(den // g)
         den *= q * (n - k)
-    return tuple(nums), tuple(dens)
+    return nums, dens
 
 
-def _zero_scaled(n: int, cache: BernoulliCache) -> tuple[list[int], list[int]]:
-    """The zero table B_k/k!, k = 0..n at least, as reduced int lists.
+def _grown(
+    table: tuple[list[int], list[int]], upper: Fraction, n: int, cache: BernoulliCache
+) -> tuple[list[int], list[int]]:
+    """`table`, the (nums, dens) of B_k(upper)/k!, holding k = 0..n at least.
 
     A short table is extended in place while the lock is held, up to
-    max(n, twice its old length), numerators first.
+    max(n, twice its old length), numerators first and denominators last:
+    a reader that finds enough denominators finds whole entries, unlocked.
     """
-    onum, oden = _zero_table
-    # the denominators are extended last, so their length says the
-    # entries are complete
-    if len(oden) > n:
-        return onum, oden
-    with _TABLE_LOCK:
-        if len(oden) <= n:
-            nums, dens = _taylor_table(Fraction(0), max(n, 2 * len(oden)), cache)
-            onum.extend(nums[len(onum) :])
-            oden.extend(dens[len(oden) :])
-    return onum, oden
+    nums, dens = table
+    if len(dens) <= n:
+        with _TABLE_LOCK:
+            if len(dens) <= n:
+                new_nums, new_dens = _taylor_table(upper, max(n, 2 * len(dens)), cache)
+                nums.extend(new_nums[len(nums) :])
+                dens.extend(new_dens[len(dens) :])
+    return table
 
 
 def _scaled_tables(
     upper: Fraction, n: int, cache: BernoulliCache
-) -> tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]:
-    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n, as reduced int pairs.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n at least, as reduced int lists.
 
-    A table that is missing or too short is rebuilt while the lock is held,
-    up to max(n, twice its old length), from one integer Taylor shift of
-    B_N (`_taylor_table` gives the derivation), so no polynomial is built or
-    evaluated per entry.  A table at an upper is published in one assignment
-    of tuples; the zero table comes from `_zero_scaled`.
+    Each table is grown by `_grown` from one integer Taylor shift of B_N
+    (`_taylor_table` gives the derivation), so no polynomial is built or
+    evaluated per entry.  At upper 0 both tables are the zero table.
     """
-    onum, oden = _zero_scaled(n, cache)
-    t = _tables_at.get(upper)
-    if t is None or len(t[1]) <= n:
+    zero = _grown(_zero_table, Fraction(0), n, cache)
+    if not upper:
+        return (*zero, *zero)
+    table = _tables_at.get(upper)
+    if table is None:
         with _TABLE_LOCK:
-            t = _tables_at.get(upper)
-            old = len(t[1]) if t is not None else 0
-            if old <= n:
-                t = _tables_at[upper] = _taylor_table(upper, max(n, 2 * old), cache)
-    return t[0], t[1], onum, oden
+            table = _tables_at.setdefault(upper, ([], []))
+    return (*_grown(table, upper, n, cache), *zero)
 
 
 def _integer_table(
@@ -262,15 +258,11 @@ def c_term(
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     xnum, xden, onum, oden = _scaled_tables(upper, max(ks), cache)
-    at_x = Fraction(1)
-    at_0 = Fraction(1)
-    for k in ks:
-        at_x *= Fraction(xnum[k], xden[k])
-        at_0 *= Fraction(onum[k], oden[k])
-    scaled_val = at_x - at_0
-    if scaled:
-        return scaled_val
-    return scaled_val * _factorial_product(ks)
+    # the products at x and at 0, as xn/xd and on/od
+    xn, xd = math.prod(xnum[k] for k in ks), math.prod(xden[k] for k in ks)
+    on, od = math.prod(onum[k] for k in ks), math.prod(oden[k] for k in ks)
+    scale = 1 if scaled else _factorial_product(ks)
+    return Fraction((xn * od - on * xd) * scale, xd * od)
 
 
 def closed_form_integral(
@@ -294,12 +286,9 @@ def closed_form_integral(
     ks = _check_indices(ks)
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
-    tables = _scaled_tables(upper, sum(ks) + 1, cache)
-    num, den = kernels.closed_form_sum(ks, *tables)
-    value = Fraction(num, den)
-    if scaled:
-        return value
-    return value * _factorial_product(ks)
+    num, den = kernels.closed_form_sum(ks, *_scaled_tables(upper, sum(ks) + 1, cache))
+    scale = 1 if scaled else _factorial_product(ks)
+    return Fraction(num * scale, den)
 
 
 def closed_form_integral_poly(
@@ -489,7 +478,7 @@ def three_factor_at_one(
         return Fraction(0)
     cache = cache or DEFAULT_CACHE
     top = k + l + m
-    o, lo = _integer_table(*_zero_scaled(top, cache), top)
+    o, lo = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
     acc = 0  # over lo^2
     for a in range(k + l):  # a = k + l would read B~_{-1} = 0
         w = binomial(a, l - 1) + binomial(a, k - 1)
@@ -540,7 +529,7 @@ def _triple_class_sums(
     """
     k1, k2, k3, k4 = ks
     top = k1 + k2 + k3 + k4 + 1
-    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    table, lcm = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
     out = dict.fromkeys(("A", "B", "C", "D", "boundary"), 0)
     for i1 in range(k1 + 1):
         b1 = table[k1 - i1]
@@ -582,7 +571,7 @@ def _four_factor_case_sums(
     """
     k1, k2, k3, k4 = ks
     top = k1 + k2 + k3 + k4 + 1
-    table, lcm = _integer_table(*_zero_scaled(top, cache), top)
+    table, lcm = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
     replace_a0 = corrected and k4 == 0
 
     def case_sum(lead: int, pair_hi: int, other: int) -> int:

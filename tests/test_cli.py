@@ -1,11 +1,14 @@
 """CLI contract: outputs, wire format, exit codes, JSON records."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernint import cli, oracle_integral
 
@@ -37,7 +40,9 @@ class TestWireFormat:
         assert cli.format_rational(value) == text
         assert cli.parse_rational(cli.format_rational(value)) == value
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "1/-2", "1.5", "a/b", "1/2/3", "--1"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1/0", "1/-2", "1.5", "a/b", "1/2/3", "--1", "٢", "١/٢", "1/٢"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             cli.parse_rational(bad)
@@ -45,7 +50,7 @@ class TestWireFormat:
     def test_index_list(self):
         assert cli.parse_index_list("1,1,2") == (1, 1, 2)
         assert cli.parse_index_list("0") == (0,)
-        for bad in ["", "1,,2", "1,-2", "a", "1 2"]:
+        for bad in ["", "1,,2", "1,-2", "a", "1 2", "١,١", "1,٢"]:
             with pytest.raises(ValueError):
                 cli.parse_index_list(bad)
 
@@ -114,6 +119,34 @@ class TestIntegralCommand:
                     cli.main([command, "--ks", "1,1", "--method", method])
                 assert exc.value.code == 2
                 assert method in capsys.readouterr().err
+
+
+# the bounded settings of tests/test_integrals.py
+bounded = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@st.composite
+def integral_requests(draw):
+    ks = tuple(draw(st.lists(st.integers(0, 8), min_size=1, max_size=5)))
+    upper = F(draw(st.integers(-80, 80)), draw(st.integers(1, 40)))
+    mu = draw(st.integers(1, sum(ks[:-1]) + 1))
+    return ks, upper, mu
+
+
+class TestMethodDispatch:
+    @bounded
+    @given(integral_requests())
+    def test_methods_print_the_same_value(self, request):
+        ks, upper, mu = request
+        printed = set()
+        for method in ("closed", "oracle", "auto", f"recurrence:{mu}"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["integral", "--ks", ",".join(map(str, ks)),
+                                 f"--upper={upper}", "--method", method])
+            assert code == 0
+            printed.add(out.getvalue())
+        assert printed == {f"{oracle_integral(ks, upper)}\n"}
 
 
 class TestAutoMethod:
@@ -278,6 +311,28 @@ class TestBenchCommand:
 class TestTopLevel:
     def test_no_command_usage_error(self):
         assert run_cli().returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--ks", "١,١", "--upper", "٢"],
+            ["integral", "--ks", "1,1", "--upper", "٢"],
+            ["bench", "--ks", "١,١"],
+            ["bench", "--ks", "1,1", "--reps", "٣"],
+            ["bernoulli", "number", "١٢"],
+            ["bernoulli", "number", "1_2"],
+            ["bernoulli", "poly", "+2"],
+            ["verify", "--suite", "table", "--max-sum", "٣"],
+            ["verify", "--suite", "table", "--max-r", "٣"],
+        ],
+    )
+    def test_numbers_outside_ascii_digits_usage_error(self, argv, capsys):
+        # int() takes any Unicode decimal digit, underscores and a plus sign,
+        # and the regex \d any Unicode decimal digit
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
 
     def test_version(self):
         proc = run_cli("--version")

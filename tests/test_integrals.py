@@ -248,13 +248,13 @@ class TestConcurrency:
         for ks in work:
             assert results[ks] == oracle_integral_poly(ks)(upper), ks
 
-    def test_reader_never_sees_a_half_appended_table_entry(self, monkeypatch):
+    @pytest.mark.parametrize("growing", ["upper", "zero"])
+    def test_reader_never_sees_a_half_appended_table_entry(self, monkeypatch, growing):
         # A reader runs wherever a grower holds the lock with a table half
-        # done: after building a table aside, just before and just after
-        # publishing it at an upper, and after each in-place extension of
-        # the zero table (numerators, then denominators).  The reader must
-        # get complete tables, old or new, or go for the lock, which the
-        # grower holds, so here it finds the lock taken.
+        # done: after building the new entries aside, and after each in-place
+        # extension (numerators, then denominators).  The reader must get
+        # complete tables, old or new, or go for the lock, which the grower
+        # holds, so here it finds the lock taken.
         upper = F(5, 9)
         seen = []
 
@@ -286,12 +286,6 @@ class TestConcurrency:
                 super().extend(values)
                 read("extended")
 
-        class ReadingDict(dict):
-            def __setitem__(self, key, value):
-                read("publishing")
-                super().__setitem__(key, value)
-                read("published")
-
         build = integrals._taylor_table
 
         def reading_build(*args):
@@ -299,39 +293,36 @@ class TestConcurrency:
             read("built")
             return out
 
-        def expect(*steps):
-            # (where, m): complete tables for n <= m, the lock for larger n
-            return [(w, n, True if n <= m else "waits") for w, m in steps for n in range(13)]
+        def table(x, n):
+            return tuple(ReadingList(part) for part in build(x, n, DEFAULT_CACHE))
 
+        # the growing table holds k <= 5 and grows to k <= 12; the other is long
+        short_at = {"upper": upper, "zero": F(0)}[growing]
+        zero = table(F(0), 5 if growing == "zero" else 20)
+        at_upper = table(upper, 5 if growing == "upper" else 20)
         monkeypatch.setattr(integrals, "_TABLE_LOCK", TryLock())
         monkeypatch.setattr(integrals, "_taylor_table", reading_build)
-        zero = build(F(0), 20, DEFAULT_CACHE)
-
-        # the table at upper grows from k <= 5 to k <= 12, the zero table is long
-        monkeypatch.setattr(integrals, "_zero_table", (list(zero[0]), list(zero[1])))
-        old = ReadingDict({upper: build(upper, 5, DEFAULT_CACHE)})
-        monkeypatch.setattr(integrals, "_tables_at", old)
-        xnum, xden, _, _ = integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
-        assert seen == expect(("built", 5), ("publishing", 5), ("published", 12))
-        assert [F(a, b) for a, b in zip(xnum, xden)] == [
-            bernoulli_polynomial(k)(upper) / math.factorial(k) for k in range(13)
+        monkeypatch.setattr(integrals, "_zero_table", zero)
+        monkeypatch.setattr(integrals, "_tables_at", {upper: at_upper})
+        integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
+        # (where, m): complete tables for n <= m, the lock for larger n
+        steps = (("built", 5), ("extended", 5), ("extended", 12))
+        assert seen == [(w, n, True if n <= m else "waits") for w, m in steps for n in range(13)]
+        grown = zero if growing == "zero" else at_upper
+        assert [F(a, b) for a, b in zip(*grown)] == [
+            bernoulli_polynomial(k)(short_at) / math.factorial(k) for k in range(13)
         ]
 
-        # the zero table grows from k <= 3 to k <= 12, the table at upper is long
-        seen.clear()
-        short = (ReadingList(zero[0][:4]), ReadingList(zero[1][:4]))
-        monkeypatch.setattr(integrals, "_zero_table", short)
-        long = ReadingDict({upper: build(upper, 20, DEFAULT_CACHE)})
-        monkeypatch.setattr(integrals, "_tables_at", long)
-        _, _, onum, oden = integrals._scaled_tables(upper, 12, DEFAULT_CACHE)
-        assert seen == expect(("built", 3), ("extended", 3), ("extended", 12))
-        assert (onum, oden) == (list(zero[0][:13]), list(zero[1][:13]))
-
+    def test_table_at_zero_is_the_zero_table(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_tables_at", {})
+        assert closed_form_integral((2, 3), 0) == 0
+        assert integrals._tables_at == {}
 
     def test_growth_under_fast_thread_switching(self, monkeypatch):
-        # More threads than cores grow the zero table, the tables at two
-        # uppers and a fresh cache's Bernoulli numbers at once, switching as
-        # often as the interpreter allows; every read must be whole and exact.
+        # More threads than cores grow the zero table (also read as the
+        # table at 0), the tables at two uppers and a fresh cache's Bernoulli
+        # numbers at once, switching as often as the interpreter allows;
+        # every read must be whole and exact.
         monkeypatch.setattr(integrals, "_zero_table", ([], []))
         monkeypatch.setattr(integrals, "_tables_at", {})
         cache = BernoulliCache()
@@ -346,7 +337,7 @@ class TestConcurrency:
             rng = random.Random(seed)
             try:
                 for _ in range(40):
-                    upper, n = rng.choice(points[:2]), rng.randint(0, 60)
+                    upper, n = rng.choice(points), rng.randint(0, 60)
                     xnum, xden, onum, oden = integrals._scaled_tables(upper, n, cache)
                     assert min(len(xnum), len(xden), len(onum), len(oden)) > n
                     k = rng.randint(0, n)
