@@ -49,7 +49,7 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 def parse_rational(text: str) -> Fraction:
     """Parse the wire format "p" or "p/q" (q > 0, sign on the numerator)."""
-    m = _RATIONAL_RE.fullmatch(text.strip())
+    m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a rational in p/q form: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
@@ -62,10 +62,9 @@ def format_rational(value: Fraction) -> str:
 
 def parse_index_list(text: str) -> tuple[int, ...]:
     """Parse a comma-separated list of nonnegative integers."""
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not re.fullmatch(r"[0-9]+", p) for p in parts):
+    if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", text):
         raise ValueError(f"--ks must be comma-separated nonnegative integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in text.split(","))
 
 
 def _ascii_int(text: str) -> int:

@@ -19,15 +19,16 @@ The specialized two-, three- and four-factor formulas (`two_factor_formula`,
 `four_factor_at_one`, `four_factor_even_sum`) are the classical shapes those
 sums collapse to; all of them are swept against the oracle by the
 verification suites.  They read the cached scaled tables (B_n(x)/n! at the
-upper, B_n/n! at 0) as integers over one lcm per table, sum in ints and
-reduce once per result.  Everything is exact: index tuples hold nonnegative
-ints, upper limits are ints or Fractions (a float or a bool is rejected with
-ValueError), and results are Fractions.
+upper, B_n/n! at 0) as integers over one common denominator per table, sum
+in ints and reduce once per result.  Everything is exact: index tuples hold
+nonnegative ints, upper limits are ints or Fractions (a float or a bool is
+rejected with ValueError), and results are Fractions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -114,26 +115,28 @@ _zero_table: tuple[list[int], list[int]] = ([], [])
 def _taylor_table(
     upper: Fraction, n: int, cache: BernoulliCache
 ) -> tuple[list[int], list[int]]:
-    """B_k(upper)/k! for k = 0..n as reduced (nums, dens), from one Taylor shift.
+    """B_k(upper)/k! for k = 0..n as (nums, dens), from one Taylor shift.
 
-    With upper = p/q and L the lcm of the denominators of B_0..B_n, the
-    polynomial R(s) = L q^n B_n(s/q) has the integer coefficient
-    C(n, i) L B_{n-i} q^{n-i} at s^i.  Since B_n(x + h) = sum_m C(n, m)
-    B_{n-m}(x) h^m, its shift R(s + p) = L q^n B_n(upper + s/q) has
-    L q^k C(n, k) B_k(upper) at s^{n-k}, so
+    Every value table has this format: with upper = p/q and L_k the lcm of
+    the denominators of B_0..B_k, entry k is the integer L_k q^k B_k(upper)
+    over the fixed denominator L_k q^k k!, unreduced.  dens[k] divides
+    dens[k+1], so tables grown to different lengths agree entry by entry,
+    and dens[n] is a common denominator of entries 0..n.
 
-        B_k(upper)/k! = [s^{n-k}] R(s + p) / (L q^k n!/(n-k)!).
-
-    The shift is O(n^2) additions of p times a coefficient (repeated
-    synthetic division), and each entry then takes one gcd.
+    The polynomial R(s) = L_n q^n B_n(s/q) has the integer coefficient
+    C(n, i) L_n B_{n-i} q^{n-i} at s^i.  Since B_n(x + h) = sum_m C(n, m)
+    B_{n-m}(x) h^m, its shift R(s + p) = L_n q^n B_n(upper + s/q) has
+    L_n q^k C(n, k) B_k(upper) at s^{n-k}, and one exact division by
+    C(n, k) L_n/L_k leaves nums[k].  The shift is O(n^2) additions of p
+    times a coefficient (repeated synthetic division).
     """
     p, q = upper.numerator, upper.denominator
     bs = [cache.number(j) for j in range(n, -1, -1)]  # B_{n-i}, from the top: one growth
-    lcm = math.lcm(*(b.denominator for b in bs))
+    lcms = list(itertools.accumulate((b.denominator for b in reversed(bs)), math.lcm))
     coeffs = [0] * (n + 1)
     binom, q_pow = 1, q**n  # C(n, i) and q^(n-i)
     for i, b in enumerate(bs):
-        coeffs[i] = binom * b.numerator * (lcm // b.denominator) * q_pow
+        coeffs[i] = binom * b.numerator * (lcms[n] // b.denominator) * q_pow
         binom = binom * (n - i) // (i + 1)
         q_pow //= q
     if p:
@@ -141,13 +144,12 @@ def _taylor_table(
             for j in range(n - 1, i - 1, -1):
                 coeffs[j] += p * coeffs[j + 1]
     nums, dens = [], []
-    den = lcm  # L q^k n!/(n-k)!
-    for k in range(n + 1):
-        num = coeffs[n - k]
-        g = math.gcd(num, den)
-        nums.append(num // g)
-        dens.append(den // g)
-        den *= q * (n - k)
+    binom, scale = 1, 1  # C(n, k) and q^k k!
+    for k, lcm in enumerate(lcms):
+        nums.append(coeffs[n - k] // (binom * (lcms[n] // lcm)))
+        dens.append(lcm * scale)
+        binom = binom * (n - k) // (k + 1)
+        scale *= q * (k + 1)
     return nums, dens
 
 
@@ -173,10 +175,10 @@ def _grown(
 def _scaled_tables(
     upper: Fraction, n: int, cache: BernoulliCache
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n at least, as reduced int lists.
+    """Tables of B_k(upper)/k! and B_k/k! for k = 0..n at least, as int lists.
 
     Each table is grown by `_grown` from one integer Taylor shift of B_N
-    (`_taylor_table` gives the derivation), so no polynomial is built or
+    (`_taylor_table` gives the format), so no polynomial is built or
     evaluated per entry.  At upper 0 both tables are the zero table.
     """
     zero = _grown(_zero_table, Fraction(0), n, cache)
@@ -192,13 +194,12 @@ def _scaled_tables(
 def _integer_table(
     nums: Sequence[int], dens: Sequence[int], n: int
 ) -> tuple[list[int], int]:
-    """Entries 0..n of a scaled table as (ints, L): ints[k]/L = nums[k]/dens[k].
+    """Entries 0..n of a value table as (ints, D): ints[k]/D = nums[k]/dens[k].
 
-    L is the lcm of the denominators read, so a product of j entries is an
-    integer over L^j and a sum of such products needs no reduction.
+    D = dens[n] is a multiple of dens[0..n], so a product of j entries is an
+    integer over D^j and a sum of such products needs no reduction.
     """
-    lcm = math.lcm(*dens[: n + 1])
-    return [num * (lcm // den) for num, den in zip(nums[: n + 1], dens[: n + 1])], lcm
+    return [num * (dens[n] // d) for num, d in zip(nums[: n + 1], dens[: n + 1])], dens[n]
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +335,11 @@ def _reduced_heads(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Reduced heads (k_j - i_j)_j and multinomial(a; i) per composition i of a.
 
-    Only compositions inside the box i_j <= k_j are yielded: the others
-    would index a negative Bernoulli polynomial, and the zero convention
-    removes them.
+    Only compositions inside the box i_j <= k_j are yielded (the zero
+    convention removes the others), and none is enumerated for a > sum(heads).
     """
+    if a > sum(heads):
+        return
     for comp in compositions(a, len(heads)):
         idx = tuple(h - i for h, i in zip(heads, comp))
         if min(idx, default=0) >= 0:
@@ -378,7 +380,7 @@ def recurrence_integral(
     heads, kr = ks[:-1], ks[-1]
 
     acc = Fraction(0)
-    for a in range(mu):
+    for a in range(min(mu, sum(heads) + 1)):  # no composition of a larger a fits
         sign = -1 if a & 1 else 1
         for idx, w in _reduced_heads(heads, a):
             acc += sign * w * c_term(idx + (kr + a + 1,), upper, scaled=True, cache=cache)
@@ -524,12 +526,12 @@ def _triple_class_sums(
     three odd; boundary: the trailing index k_4 + a + 1 is odd (nonzero only
     for k_4 = 0, a = 0 since B_1 != 0).  The classes sum to
     `four_factor_even_sum`.  With the zero table read as integers N_n over
-    one lcm L (N_n / L = B~_n), each class is an integer sum over L^4;
-    returns (sums, L^4).
+    one common denominator D (N_n / D = B~_n), each class is an integer sum
+    over D^4; returns (sums, D^4).
     """
     k1, k2, k3, k4 = ks
     top = k1 + k2 + k3 + k4 + 1
-    table, lcm = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
+    table, den = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
     out = dict.fromkeys(("A", "B", "C", "D", "boundary"), 0)
     for i1 in range(k1 + 1):
         b1 = table[k1 - i1]
@@ -553,7 +555,7 @@ def _triple_class_sums(
                 else:
                     label = _TRIPLE_CLASSES[((k1 - i1) % 2, (k2 - i2) % 2, (k3 - i3) % 2)]
                 out[label] += value
-    return out, lcm**4
+    return out, den**4
 
 
 def _four_factor_case_sums(
@@ -566,18 +568,18 @@ def _four_factor_case_sums(
     cell.  `four_factor_at_one` adds them up.  When `corrected` and k4 == 0,
     the case sums skip a = 0 and an extra term "a0" holds that cell's true
     value B~_{k1} B~_{k2} B~_{k3}.  With the zero table read as integers
-    N_n over one lcm L (N_n / L = B~_n), the case sums are integers over L^3
-    and D over 2 L; returns (terms, 2 L^3).
+    N_n over one common denominator E (N_n / E = B~_n), the case sums are
+    integers over E^3 and D over 2 E; returns (terms, 2 E^3).
     """
     k1, k2, k3, k4 = ks
     top = k1 + k2 + k3 + k4 + 1
-    table, lcm = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
+    table, den = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
     replace_a0 = corrected and k4 == 0
 
     def case_sum(lead: int, pair_hi: int, other: int) -> int:
         # lead plays the role of the index pinned to 1; the inner binomial
         # sum runs over the split of the remaining budget a - lead + 1.
-        # Returns the sum over L^3.
+        # Returns the sum over E^3.
         acc = 0
         for a in range(int(replace_a0), k1 + k2 + k3 + 1):
             bt = table[k4 + a + 1]
@@ -595,7 +597,7 @@ def _four_factor_case_sums(
 
     d_sign = 1 if (k1 + k2 + k3) % 2 == 0 else -1
     d_index = k1 + k2 + k3 + k4 - 2
-    d_term = (  # over 2 L
+    d_term = (  # over 2 E
         d_sign
         * binomial(k1 + k2 + k3 - 3, k1 - 1)
         * binomial(k2 + k3 - 2, k2 - 1)
@@ -605,11 +607,11 @@ def _four_factor_case_sums(
         "A": 2 * case_sum(k1, k1 + k2, k3),
         "B": 2 * case_sum(k2, k2 + k3, k1),
         "C": 2 * case_sum(k3, k2 + k3, k1),
-        "D": d_term * lcm**2,
+        "D": d_term * den**2,
     }
     if replace_a0:
         out["a0"] = 2 * table[k1] * table[k2] * table[k3]
-    return out, 2 * lcm**3
+    return out, 2 * den**3
 
 
 def four_factor_at_one(

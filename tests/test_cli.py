@@ -41,7 +41,9 @@ class TestWireFormat:
         assert cli.parse_rational(cli.format_rational(value)) == value
 
     @pytest.mark.parametrize(
-        "bad", ["", "1/0", "1/-2", "1.5", "a/b", "1/2/3", "--1", "٢", "١/٢", "1/٢"]
+        "bad",
+        ["", "1/0", "1/-2", "1.5", "a/b", "1/2/3", "--1", "٢", "١/٢", "1/٢",
+         " 2/3", "2/3 ", "\u20032/3", "\t1"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -50,7 +52,8 @@ class TestWireFormat:
     def test_index_list(self):
         assert cli.parse_index_list("1,1,2") == (1, 1, 2)
         assert cli.parse_index_list("0") == (0,)
-        for bad in ["", "1,,2", "1,-2", "a", "1 2", "١,١", "1,٢"]:
+        bad_lists = ["", "1,,2", "1,-2", "a", "1 2", "١,١", "1,٢"]
+        for bad in bad_lists + [" 1 , 2", "1,\t2", "1,2 ", "\u20031"]:
             with pytest.raises(ValueError):
                 cli.parse_index_list(bad)
 
@@ -324,11 +327,15 @@ class TestTopLevel:
             ["bernoulli", "poly", "+2"],
             ["verify", "--suite", "table", "--max-sum", "٣"],
             ["verify", "--suite", "table", "--max-r", "٣"],
+            ["integral", "--ks", " 1 , 2"],
+            ["integral", "--ks", "1,\t2"],
+            ["integral", "--ks", "1,1", "--upper", " 2/3"],
+            ["integral", "--ks", "1,1", "--upper", "2/3\u2003"],
         ],
     )
     def test_numbers_outside_ascii_digits_usage_error(self, argv, capsys):
-        # int() takes any Unicode decimal digit, underscores and a plus sign,
-        # and the regex \d any Unicode decimal digit
+        # int() takes any Unicode decimal digit, underscores, a plus sign and
+        # surrounding whitespace, and the regex \d any Unicode decimal digit
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

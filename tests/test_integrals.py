@@ -19,6 +19,7 @@ from bernint import (
     DEFAULT_CACHE,
     BernoulliCache,
     IntegralSpec,
+    bernoulli_number,
     bernoulli_polynomial,
     c_term,
     closed_form_integral,
@@ -194,6 +195,26 @@ class TestRecurrence:
                 (3,), F(1, 2), scaled=True
             )
 
+    def test_depth_past_the_box_enumerates_nothing_more(self, monkeypatch):
+        # no composition of a > k_1 + ... + k_{r-1} fits in the box, so any
+        # mu past it costs what mu = k_1 + ... + k_{r-1} + 1 costs
+        enumerated = 0
+        compositions = integrals.compositions
+
+        def counted(total, parts):
+            nonlocal enumerated
+            for comp in compositions(total, parts):
+                enumerated += 1
+                if enumerated > 10_000:
+                    raise AssertionError("more than 10,000 compositions enumerated")
+                yield comp
+
+        monkeypatch.setattr(integrals, "compositions", counted)
+        ks, upper = (1, 1, 1, 1, 2), F(2, 3)
+        want = closed_form_integral(ks, upper, scaled=True)
+        assert recurrence_integral(ks, upper, mu=10**6) == want
+        assert recurrence_residual_indices(ks, 10**6) == []
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             recurrence_integral((1, 1), 1, mu=0)
@@ -312,6 +333,17 @@ class TestConcurrency:
         assert [F(a, b) for a, b in zip(*grown)] == [
             bernoulli_polynomial(k)(short_at) / math.factorial(k) for k in range(13)
         ]
+
+    @pytest.mark.parametrize("upper", [F(0), F(2, 3), F(-31, 37)])
+    def test_table_grown_in_steps_equals_one_build(self, monkeypatch, upper):
+        # entries from different growths agree, and each denominator divides
+        # the next, so dens[n] is a common denominator of entries 0..n
+        monkeypatch.setattr(integrals, "_zero_table", ([], []))
+        monkeypatch.setattr(integrals, "_tables_at", {})
+        for n in (3, 17, 40):
+            nums, dens, _, _ = integrals._scaled_tables(upper, n, DEFAULT_CACHE)
+        assert (nums, dens) == integrals._taylor_table(upper, 40, DEFAULT_CACHE)
+        assert all(dens[k + 1] % dens[k] == 0 for k in range(40))
 
     def test_table_at_zero_is_the_zero_table(self, monkeypatch):
         monkeypatch.setattr(integrals, "_tables_at", {})
@@ -466,15 +498,21 @@ class TestProperties:
     @bounded
     @given(table_uppers, st.integers(0, 80))
     def test_scaled_tables_match_per_entry_values(self, x, n):
-        # the Taylor-shift tables against B_k(x)/k! from each polynomial
+        # the Taylor-shift tables against B_k(x)/k! from each polynomial, each
+        # entry over its fixed denominator L_k q^k k! (x = p/q, L_k the lcm of
+        # the denominators of B_0..B_k)
         def reference(point):
             return [bernoulli_polynomial(k)(point) / math.factorial(k) for k in range(n + 1)]
 
+        lcms = list(
+            itertools.accumulate((bernoulli_number(k).denominator for k in range(n + 1)), math.lcm)
+        )
         built = integrals._taylor_table(x, n, DEFAULT_CACHE)
         assert len(built[0]) == len(built[1]) == n + 1
         xnum, xden, onum, oden = integrals._scaled_tables(x, n, DEFAULT_CACHE)
         at_x, at_0 = reference(x), reference(0)
-        for nums, dens, want in ((*built, at_x), (xnum, xden, at_x), (onum, oden, at_0)):
+        cases = ((*built, at_x, x), (xnum, xden, at_x, x), (onum, oden, at_0, F(0)))
+        for nums, dens, want, point in cases:
             for k in range(n + 1):
-                assert dens[k] > 0 and math.gcd(nums[k], dens[k]) == 1
+                assert dens[k] == lcms[k] * point.denominator**k * math.factorial(k), (x, k)
                 assert F(nums[k], dens[k]) == want[k], (x, k)
