@@ -16,7 +16,6 @@ from .bernoulli import (
 )
 from .exact import binomial, compositions, multinomial
 from .integrals import (
-    IntegralSpec,
     c_term,
     closed_form_integral,
     closed_form_integral_poly,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_CACHE",
     "BernoulliCache",
-    "IntegralSpec",
     "Polynomial",
     "active_backend",
     "bernoulli_number",

@@ -9,7 +9,7 @@ bench      time several evaluation methods on one input (values must agree)
 bernoulli  Bernoulli numbers and polynomials
 
 Exit codes: 0 success / all instances passed, 1 verification failure or
-method disagreement, 2 usage or parse error.  Rationals are rendered as
+method disagreement, 2 usage or parse error or an input above a work limit.  Rationals are rendered as
 "p/q" (just "p" for integers) with the sign on the numerator; JSON mode
 emits one self-contained record per invocation.
 """
@@ -17,9 +17,9 @@ emits one self-contained record per invocation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -28,7 +28,7 @@ from typing import Sequence
 from . import __version__
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .integrals import (
-    IntegralSpec,
+    _box_compositions,
     _factorial_product,
     closed_form_integral,
     closed_form_integral_poly,
@@ -40,9 +40,23 @@ from .integrals import (
     three_factor_formula,
     two_factor_formula,
 )
-from .verify import SUITES, VerificationReport, run_suite
 
 __all__ = ["format_rational", "main", "parse_index_list", "parse_rational"]
+
+# Work bounds for one command, checked before the work starts; the library
+# itself is unbounded.  Times are from Python 3.11 on 2 x86-64 vCPUs.
+# - MAX_INDEX_SUM bounds k_1 + ... + k_r for `integral`, `poly` and `bench`,
+#   and k for `bernoulli`: at 1,000, one index takes 0.6 s and five equal
+#   ones 6.5 s by the closed form, cold.
+# - MAX_POLY_PRODUCTS bounds the d^2 k_r/2 + d^3/6 coefficient products of
+#   `poly --method closed`, d = k_1 + ... + k_(r-1): (30,)*8 costs 2.2
+#   million and takes 0.7 s.
+# - MAX_RECURRENCE_WORK bounds the box cells `recurrence:<mu>` visits, one
+#   per boundary term and per residual integral, times (index sum + 1)^2:
+#   the slowest input found inside it, (1,)*20 at mu = 5, takes 3 s.
+MAX_INDEX_SUM = 1_000
+MAX_POLY_PRODUCTS = 4_000_000
+MAX_RECURRENCE_WORK = 10_000_000
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -78,6 +92,18 @@ class _UsageError(Exception):
     pass
 
 
+class _SuiteNames:
+    """The keys of `verify.SUITES` as argparse choices, imported only when read."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter(sorted(SUITES))
+
+    def __contains__(self, name: object) -> bool:
+        return name in list(self)
+
+
 def _emit(record: dict, fmt: str, text_lines: Sequence[str]) -> None:
     if fmt == "json":
         print(json.dumps(record))
@@ -86,26 +112,47 @@ def _emit(record: dict, fmt: str, text_lines: Sequence[str]) -> None:
             print(line)
 
 
-def _integral_value(spec: IntegralSpec, method: str) -> Fraction:
+def _check_index_sum(ks: Sequence[int]) -> None:
+    if sum(ks) > MAX_INDEX_SUM:
+        raise _UsageError(
+            f"index sum {sum(ks)} is above the limit MAX_INDEX_SUM = {MAX_INDEX_SUM}"
+        )
+
+
+def _check_recurrence_work(ks: tuple[int, ...], mu: int) -> None:
+    heads = ks[:-1]
+    cap = MAX_RECURRENCE_WORK // (sum(ks) + 1) ** 2
+    cells = itertools.chain.from_iterable(
+        _box_compositions(a, heads) for a in range(min(mu, sum(heads)) + 1)
+    )
+    if sum(1 for _ in itertools.islice(cells, cap + 1)) > cap:
+        raise _UsageError(
+            f"recurrence:{mu} visits more than {cap:,} box cells at index sum {sum(ks)}, "
+            f"above the limit MAX_RECURRENCE_WORK = {MAX_RECURRENCE_WORK:,} "
+            "cells times (index sum + 1)^2"
+        )
+
+
+def _integral_value(ks: tuple[int, ...], upper: Fraction, method: str) -> Fraction:
     if method == "closed":
-        return closed_form_integral(spec.ks, spec.upper)
+        return closed_form_integral(ks, upper)
     if method == "oracle":
-        return oracle_integral(spec.ks, spec.upper)
+        return oracle_integral(ks, upper)
     if method == "auto":
-        return _auto_value(spec)
+        return _auto_value(ks, upper)
     m = re.fullmatch(r"recurrence(?::([0-9]+))?", method)
     if m:
         mu = int(m.group(1) or 1)
-        return recurrence_integral(spec.ks, spec.upper, mu) * _factorial_product(spec.ks)
+        _check_recurrence_work(ks, mu)
+        return recurrence_integral(ks, upper, mu) * _factorial_product(ks)
     raise _UsageError(
         f"unknown method {method!r}; use closed, oracle, auto, recurrence or recurrence:<mu>"
     )
 
 
-def _auto_value(spec: IntegralSpec) -> Fraction:
+def _auto_value(ks: tuple[int, ...], upper: Fraction) -> Fraction:
     # specialized formulas are preferred only over [0, 1], where the
     # at-one shapes are stated; elsewhere the general closed form runs
-    ks, upper = spec.ks, spec.upper
     if upper == 1:
         if len(ks) == 2:
             return two_factor_formula(ks[0], ks[1], upper)
@@ -119,14 +166,15 @@ def _auto_value(spec: IntegralSpec) -> Fraction:
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
-    spec = IntegralSpec(parse_index_list(args.ks), parse_rational(args.upper))
+    ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
+    _check_index_sum(ks)
     start = time.perf_counter_ns()
-    value = _integral_value(spec, args.method)
+    value = _integral_value(ks, upper, args.method)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     record = {
         "command": "integral",
-        "ks": list(spec.ks),
-        "upper": format_rational(spec.upper),
+        "ks": list(ks),
+        "upper": format_rational(upper),
         "method": args.method,
         "value": format_rational(value),
         "time_us": elapsed_us,
@@ -136,17 +184,25 @@ def _cmd_integral(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    spec = IntegralSpec(parse_index_list(args.ks))
+    ks = parse_index_list(args.ks)
+    _check_index_sum(ks)
+    d, kr = sum(ks[:-1]), ks[-1]
+    products = d * d * kr // 2 + d**3 // 6
+    if args.method == "closed" and products > MAX_POLY_PRODUCTS:
+        raise _UsageError(
+            f"--method closed costs about {products:,} coefficient products here, above "
+            f"the limit MAX_POLY_PRODUCTS = {MAX_POLY_PRODUCTS:,} (--method oracle is cheaper)"
+        )
     start = time.perf_counter_ns()
     if args.method == "closed":
-        poly = closed_form_integral_poly(spec.ks)
+        poly = closed_form_integral_poly(ks)
     else:
-        poly = oracle_integral_poly(spec.ks)
+        poly = oracle_integral_poly(ks)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
     coeffs = [format_rational(c) for c in poly.coeffs]
     record = {
         "command": "poly",
-        "ks": list(spec.ks),
+        "ks": list(ks),
         "method": args.method,
         "coefficients": coeffs,
         "time_us": elapsed_us,
@@ -159,7 +215,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for flag, bound in (("--max-sum", args.max_sum), ("--max-r", args.max_r)):
         if bound < 0:
             raise _UsageError(f"{flag} must be >= 0, got {bound}")
-    report: VerificationReport = run_suite(args.suite, args.max_sum, args.max_r)
+    from .verify import run_suite  # the suites load only for this command
+
+    report = run_suite(args.suite, args.max_sum, args.max_r)
     record = {"command": "verify", **report.to_dict()}
     lines = [
         f"suite: {report.suite}",
@@ -174,7 +232,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    spec = IntegralSpec(parse_index_list(args.ks), parse_rational(args.upper))
+    import statistics
+
+    ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
+    _check_index_sum(ks)
     if args.reps < 1:
         raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
@@ -187,7 +248,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         value = None
         for _ in range(args.reps):
             start = time.perf_counter_ns()
-            value = _integral_value(spec, method)
+            value = _integral_value(ks, upper, method)
             timings.append((time.perf_counter_ns() - start) / 1000)
         results.append((method, value, statistics.median(timings)))
 
@@ -195,8 +256,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     agreed = len(values) == 1
     record = {
         "command": "bench",
-        "ks": list(spec.ks),
-        "upper": format_rational(spec.upper),
+        "ks": list(ks),
+        "upper": format_rational(upper),
         "reps": args.reps,
         "agreed": agreed,
         "value": format_rational(results[0][1]) if agreed else None,
@@ -218,6 +279,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    _check_index_sum((args.k,))
     start = time.perf_counter_ns()
     if args.kind == "number":
         payload = {"value": format_rational(bernoulli_number(args.k))}
@@ -260,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES),
-                   help="which sweep to run")
+    p.add_argument("--suite", required=True, choices=_SuiteNames(), metavar="SUITE",
+                   help="which sweep to run: %(choices)s")
     p.add_argument("--max-sum", type=_ascii_int, default=12, dest="max_sum",
                    help="bound on the index sum (default: 12)")
     p.add_argument("--max-r", type=_ascii_int, default=4, dest="max_r",

@@ -31,19 +31,17 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import kernels
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
 from .bernoulli import _check_index, _check_upper
-from .exact import binomial, compositions, multinomial
+from .exact import binomial, multinomial
 
 Scalar = int | Fraction
 
 __all__ = [
-    "IntegralSpec",
     "c_term",
     "closed_form_integral",
     "closed_form_integral_poly",
@@ -72,22 +70,6 @@ def _check_indices(ks: Sequence[int]) -> tuple[int, ...]:
 def _check_mu(mu: int) -> None:
     if isinstance(mu, bool) or not isinstance(mu, int) or mu < 1:
         raise ValueError(f"mu must be an int >= 1 (got {mu!r})")
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """A request: the index tuple (k_1, ..., k_r) and the upper limit x."""
-
-    ks: tuple[int, ...]
-    upper: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", _check_indices(self.ks))
-        object.__setattr__(self, "upper", _check_upper(self.upper))
-
-    @property
-    def r(self) -> int:
-        return len(self.ks)
 
 
 def _factorial_product(ks: Sequence[int]) -> int:
@@ -229,6 +211,8 @@ def oracle_integral_poly(
     Built by direct expansion: multiply the Bernoulli polynomials and take
     the antiderivative that vanishes at 0.  No closed-form theorem is
     involved, which is what makes this the package's ground truth.
+    Unbounded: r - 1 products up to degree k_1 + ... + k_r (index sum 1,000:
+    0.1-0.4 s on one x86-64 core).
     """
     ks = _check_indices(ks)
     return _oracle_poly_cached(ks, cache or DEFAULT_CACHE)
@@ -283,6 +267,9 @@ def closed_form_integral(
     empty and the sum degenerates to (B_{k+1}(x) - B_{k+1})/(k+1)!.
     `kernels.closed_form_sum` evaluates the sum without walking the box, as
     a product of one integer polynomial per head index k_1, ..., k_{r-1}.
+    Unbounded: the table at `upper` grows to k_1 + ... + k_r + 1 entries and
+    the head products to degree k_1 + ... + k_{r-1} (index sum 1,000: 0.6 s
+    for r = 1 and 6.5 s for five equal indices, cold, on one x86-64 core).
     """
     ks = _check_indices(ks)
     upper = _check_upper(upper)
@@ -309,6 +296,9 @@ def closed_form_integral_poly(
     half of every boundary term.
     For r = 1, Q = 1.  Coefficient-wise equal to `oracle_integral_poly`,
     which multiplies all r polynomials and integrates term by term instead.
+    Unbounded: about d^2 k_r/2 + d^3/6 coefficient products with
+    d = deg Q = k_1 + ... + k_{r-1}, cubic in d ((30,)*8: 0.7 s; (60,)*12:
+    about 50 s).
     """
     ks = _check_indices(ks)
     cache = cache or DEFAULT_CACHE
@@ -330,20 +320,36 @@ def closed_form_integral_poly(
 # ---------------------------------------------------------------------------
 
 
+def _box_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every composition i of `total` with 0 <= i_j <= caps_j, and no other.
+
+    Part j ranges only over the values that leave parts j+1.. room to make up
+    the rest, so every branch of the walk ends in a yielded tuple.
+    """
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[j:])
+
+    def walk(j: int, left: int) -> Iterator[tuple[int, ...]]:
+        if j == len(caps):
+            yield ()
+            return
+        for i in range(max(0, left - room[j + 1]), min(caps[j], left) + 1):
+            for rest in walk(j + 1, left - i):
+                yield (i,) + rest
+
+    if 0 <= total <= room[0]:
+        yield from walk(0, total)
+
+
 def _reduced_heads(
     heads: tuple[int, ...], a: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Reduced heads (k_j - i_j)_j and multinomial(a; i) per composition i of a.
 
-    Only compositions inside the box i_j <= k_j are yielded (the zero
-    convention removes the others), and none is enumerated for a > sum(heads).
+    Only compositions inside the box i_j <= k_j are enumerated (the zero
+    convention removes the others), so a > sum(heads) yields nothing at once.
     """
-    if a > sum(heads):
-        return
-    for comp in compositions(a, len(heads)):
-        idx = tuple(h - i for h, i in zip(heads, comp))
-        if min(idx, default=0) >= 0:
-            yield idx, multinomial(a, comp)
+    for comp in _box_compositions(a, heads):
+        yield tuple(h - i for h, i in zip(heads, comp)), multinomial(a, comp)
 
 
 def recurrence_residual_indices(ks: Sequence[int], mu: int) -> list[tuple[int, ...]]:
@@ -372,6 +378,9 @@ def recurrence_integral(
     The residuals are evaluated with the brute-force oracle rather than
     recursively, so agreement with `closed_form_integral` across mu values
     checks the identity instead of assuming it.
+    Unbounded: one boundary term per cell i of the box i_j <= k_j (j < r)
+    with i_1 + ... + i_{r-1} < mu and one oracle integral per cell with sum
+    mu, so a deep mu over many heads costs up to the whole box, prod (k_j + 1).
     """
     ks = _check_indices(ks)
     _check_mu(mu)

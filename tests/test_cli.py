@@ -5,12 +5,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bernint import cli, oracle_integral
+from bernint import bernoulli_number, cli, oracle_integral
 
 F = Fraction
 
@@ -154,8 +155,6 @@ class TestMethodDispatch:
 
 class TestAutoMethod:
     def test_every_branch_matches_the_oracle(self):
-        from bernint.integrals import IntegralSpec
-
         cases = [
             ((2, 3), F(1)),       # two-factor shape
             ((1, 1, 2), F(1)),    # three-factor at 1, all indices >= 1
@@ -165,7 +164,7 @@ class TestAutoMethod:
             ((1, 1, 1, 1, 2), F(1)),  # r = 5: generic closed form
         ]
         for ks, upper in cases:
-            got = cli._auto_value(IntegralSpec(ks, upper))
+            got = cli._auto_value(ks, upper)
             assert got == oracle_integral(ks, upper), (ks, upper)
 
 
@@ -269,11 +268,11 @@ class TestVerifyCommand:
             assert f"{flag} must be >= 0" in capsys.readouterr().err
 
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
-        from bernint.verify import VerificationReport
+        from bernint import verify
 
-        rep = VerificationReport("table", attempted=2, passed=1,
-                                 first_failure={"ks": [9, 9, 9, 9]})
-        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: rep)
+        rep = verify.VerificationReport("table", attempted=2, passed=1,
+                                        first_failure={"ks": [9, 9, 9, 9]})
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **k: rep)
         assert cli.main(["verify", "--suite", "table"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "first failure" in out
@@ -302,13 +301,108 @@ class TestBenchCommand:
     def test_disagreement_exits_one(self, monkeypatch, capsys):
         values = {"closed": F(1, 2), "oracle": F(1, 3)}
         monkeypatch.setattr(
-            cli, "_integral_value", lambda spec, method: values[method]
+            cli, "_integral_value", lambda ks, upper, method: values[method]
         )
         code = cli.main(["bench", "--ks", "1,1", "--reps", "1"])
         captured = capsys.readouterr()
         assert code == 1
         assert "DISAGREEMENT" in captured.out
         assert "different values" in captured.err
+
+
+class TestWorkLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--ks", "1000,1", "--method", "oracle"],
+            ["poly", "--ks", "1001", "--method", "oracle"],
+            ["bench", "--ks", "1,1000", "--method", "oracle", "--reps", "1"],
+            ["bernoulli", "number", "1001"],
+            ["bernoulli", "poly", "1001"],
+        ],
+    )
+    def test_index_sum_limit(self, argv, capsys):
+        assert cli.MAX_INDEX_SUM == 1000
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "index sum 1001 is above the limit MAX_INDEX_SUM = 1000" in capsys.readouterr().err
+
+    def test_index_sum_at_the_limit_runs(self, capsys):
+        assert cli.main(["integral", "--ks", "999,1", "--method", "oracle"]) == 0
+        assert cli.main(["bernoulli", "number", "1000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == str(bernoulli_number(1000))
+
+    def test_poly_closed_limit(self, monkeypatch, capsys):
+        # (2, 3, 4): d = 5 and k_r = 4 cost 5*5*4//2 + 5**3//6 = 70 products
+        monkeypatch.setattr(cli, "MAX_POLY_PRODUCTS", 70)
+        assert cli.main(["poly", "--ks", "2,3,4"]) == 0
+        monkeypatch.setattr(cli, "MAX_POLY_PRODUCTS", 69)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["poly", "--ks", "2,3,4"])
+        assert exc.value.code == 2
+        assert "MAX_POLY_PRODUCTS = 69" in capsys.readouterr().err
+        assert cli.main(["poly", "--ks", "2,3,4", "--method", "oracle"]) == 0
+
+    @pytest.mark.parametrize("command", ["integral", "bench"])
+    def test_recurrence_limit(self, monkeypatch, capsys, command):
+        # (2, 1, 1) at mu = 2 visits the cells i <= (2, 1) with i_1 + i_2 <= 2:
+        # five of them, each weighed (index sum + 1)^2 = 25
+        argv = [command, "--ks", "2,1,1", "--method", "recurrence:2"]
+        monkeypatch.setattr(cli, "MAX_RECURRENCE_WORK", 125)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "MAX_RECURRENCE_WORK", 124)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "more than 4 box cells" in capsys.readouterr().err
+        assert cli.main([command, "--ks", "2,1,1", "--method", "recurrence:1"]) == 0
+
+    def test_the_limits_stop_a_hostile_recurrence_at_once(self, capsys):
+        # 2^29 box cells at mu = 30; the check stops counting past its cap
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integral", "--ks", ",".join(["1"] * 30), "--method", "recurrence:30"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 5
+        assert "MAX_RECURRENCE_WORK" in capsys.readouterr().err
+
+
+# what a cold `bernint integral` and `import bernint` must not import
+LAZY_MODULES = ("bernint.verify", "dataclasses", "inspect", "statistics")
+
+
+class TestColdStart:
+    def test_integral_imports_only_what_it_runs(self, capsys):
+        report = f"import sys; print(sorted(set(sys.modules) & {set(LAZY_MODULES)!r}))"
+        integral = "\n".join([
+            "from bernint import cli",
+            "for method in ('closed', 'oracle', 'auto', 'recurrence:2'):",
+            "    assert cli.main(['integral', '--ks', '2,3,1', '--method', method]) == 0",
+            report,
+        ])
+        for program in (integral, "import bernint\n" + report):
+            # -S: what a site-packages .pth file imports is not bernint's doing
+            proc = subprocess.run([sys.executable, "-S", "-c", program],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == "[]"
+
+        # the suites still load, and name themselves, when `verify` needs them
+        from bernint.verify import SUITES
+
+        assert cli.main(["verify", "--suite", "oracle", "--max-sum", "3"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert all(name in help_text for name in SUITES)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "everything"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'everything'" in err
+        assert all(repr(name) in err for name in SUITES)
 
 
 class TestTopLevel:

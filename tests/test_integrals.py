@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from bernint import (
     DEFAULT_CACHE,
     BernoulliCache,
-    IntegralSpec,
     bernoulli_number,
     bernoulli_polynomial,
     c_term,
@@ -195,42 +195,56 @@ class TestRecurrence:
                 (3,), F(1, 2), scaled=True
             )
 
+    @staticmethod
+    def count_enumerated(monkeypatch, limit):
+        """Count the compositions the recurrence enumerates; fail past `limit`."""
+        enumerated = [0]
+        box_compositions = integrals._box_compositions
+
+        def counted(total, caps):
+            for comp in box_compositions(total, caps):
+                enumerated[0] += 1
+                if enumerated[0] > limit:
+                    raise AssertionError(f"more than {limit:,} compositions enumerated")
+                yield comp
+
+        monkeypatch.setattr(integrals, "_box_compositions", counted)
+        return enumerated
+
     def test_depth_past_the_box_enumerates_nothing_more(self, monkeypatch):
         # no composition of a > k_1 + ... + k_{r-1} fits in the box, so any
         # mu past it costs what mu = k_1 + ... + k_{r-1} + 1 costs
-        enumerated = 0
-        compositions = integrals.compositions
-
-        def counted(total, parts):
-            nonlocal enumerated
-            for comp in compositions(total, parts):
-                enumerated += 1
-                if enumerated > 10_000:
-                    raise AssertionError("more than 10,000 compositions enumerated")
-                yield comp
-
-        monkeypatch.setattr(integrals, "compositions", counted)
+        self.count_enumerated(monkeypatch, 10_000)
         ks, upper = (1, 1, 1, 1, 2), F(2, 3)
         want = closed_form_integral(ks, upper, scaled=True)
         assert recurrence_integral(ks, upper, mu=10**6) == want
         assert recurrence_residual_indices(ks, 10**6) == []
+
+    @pytest.mark.parametrize("ks", [(12, 0, 0, 0, 0, 0, 1), (12, 1, 1, 1, 1, 1, 1), (3, 0, 2, 1)])
+    def test_walks_only_the_box(self, monkeypatch, ks):
+        # every composition of a = 0..k_1+...+k_{r-1} outside the box has
+        # weight 0; enumerating them cost (12,1,1,1,1,1,1) 100,947 tuples
+        # for its 416 cells
+        cells = math.prod(k + 1 for k in ks[:-1])
+        enumerated = self.count_enumerated(monkeypatch, cells)
+        mu = sum(ks[:-1]) + 1
+        want = closed_form_integral(ks, F(2, 3), scaled=True)
+        assert recurrence_integral(ks, F(2, 3), mu) == want
+        assert enumerated[0] == cells
+
+    def test_box_walk_skips_what_cannot_fit(self):
+        # one of the 324,632 compositions of 5 into 31 parts is in the box;
+        # filtering them all takes about 3 s, the box walk well under 1 ms
+        start = time.perf_counter()
+        caps = (0,) * 30 + (5,)
+        assert list(integrals._box_compositions(5, caps)) == [caps]
+        assert time.perf_counter() - start < 0.5
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             recurrence_integral((1, 1), 1, mu=0)
         with pytest.raises(ValueError):
             recurrence_residual_indices((1, 1), 0)
-
-
-class TestRecordTypes:
-    def test_spec_validation(self):
-        spec = IntegralSpec((1, 2), F(1, 2))
-        assert spec.r == 2 and spec.upper == F(1, 2)
-        assert IntegralSpec([1, 2]).ks == (1, 2)  # sequences normalize to tuples
-        with pytest.raises(ValueError):
-            IntegralSpec(())
-        with pytest.raises(ValueError):
-            IntegralSpec((1, -1))
 
 
 class TestEmptyInterval:
@@ -416,7 +430,6 @@ class TestPermutationSymmetry:
 class TestInputContract:
     # every public entry point that takes an upper limit
     UPPER_CALLS = {
-        "IntegralSpec": lambda u: IntegralSpec((2, 2), u),
         "oracle_integral": lambda u: oracle_integral((2, 2), u),
         "c_term": lambda u: c_term((2, 2), u),
         "closed_form_integral": lambda u: closed_form_integral((2, 2), u),
@@ -434,7 +447,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("ks", [(True, 2), (2.0, 2)], ids=["bool", "float"])
     def test_indices_must_be_ints(self, ks):
-        for entry in (IntegralSpec, oracle_integral, c_term, closed_form_integral):
+        for entry in (oracle_integral, c_term, closed_form_integral):
             with pytest.raises(ValueError, match="nonnegative ints"):
                 entry(ks)
         with pytest.raises(ValueError, match="nonnegative ints"):
