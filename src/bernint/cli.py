@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 import time
@@ -27,8 +28,8 @@ from typing import Sequence
 
 from . import __version__
 from .bernoulli import bernoulli_number, bernoulli_polynomial
+from .exact import compositions
 from .integrals import (
-    _box_compositions,
     _factorial_product,
     closed_form_integral,
     closed_form_integral_poly,
@@ -47,16 +48,29 @@ __all__ = ["format_rational", "main", "parse_index_list", "parse_rational"]
 # itself is unbounded.  Times are from Python 3.11 on 2 x86-64 vCPUs.
 # - MAX_INDEX_SUM bounds k_1 + ... + k_r for `integral`, `poly` and `bench`,
 #   and k for `bernoulli`: at 1,000, one index takes 0.6 s and five equal
-#   ones 6.5 s by the closed form, cold.
+#   ones 6.5 s by the closed form, cold; two large heads before a small last
+#   index, as in (500,499,1), take 5 s at upper 1 and 13 s at 1/5.
 # - MAX_POLY_PRODUCTS bounds the d^2 k_r/2 + d^3/6 coefficient products of
 #   `poly --method closed`, d = k_1 + ... + k_(r-1): (30,)*8 costs 2.2
 #   million and takes 0.7 s.
 # - MAX_RECURRENCE_WORK bounds the box cells `recurrence:<mu>` visits, one
 #   per boundary term and per residual integral, times (index sum + 1)^2:
 #   the slowest input found inside it, (1,)*20 at mu = 5, takes 3 s.
+# - MAX_UPPER_SIZE bounds (index sum + 1) x (bits of p + bits of q) for an
+#   upper p/q in `integral` and `bench`; the value has about that many bits,
+#   twice as many for p = 1.  (100,) at 1/10^45 comes to 15,251 and runs in
+#   3 ms.  At index sum 1,000 the limit leaves the upper 15 bits, where
+#   (500,499,1) takes 26 s.
+# - MAX_SWEEP_TUPLES bounds `verify` by C(S + R + 1, R) - 1, the tuples of at
+#   most R = max(max_r, 4) parts with sum at most S = max(max_sum, 4 max_r),
+#   which hold every tuple any suite walks.  The slowest suite inside it,
+#   carlitz4 at --max-sum 32 (66,044 tuples), takes 10 s; --max-r 5 runs up
+#   to --max-sum 20.
 MAX_INDEX_SUM = 1_000
 MAX_POLY_PRODUCTS = 4_000_000
 MAX_RECURRENCE_WORK = 10_000_000
+MAX_UPPER_SIZE = 16_000
+MAX_SWEEP_TUPLES = 70_000
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -70,8 +84,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction in the wire format (str() already matches it)."""
-    return str(value)
+    """Render a Fraction in the wire format (str() already matches it), in full.
+
+    Python refuses to convert an int of more than 4,300 digits by default;
+    the limit is lifted for this conversion only and then restored.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_index_list(text: str) -> tuple[int, ...]:
@@ -119,11 +142,21 @@ def _check_index_sum(ks: Sequence[int]) -> None:
         )
 
 
+def _check_upper_size(ks: Sequence[int], upper: Fraction) -> None:
+    factor = sum(ks) + 1
+    bits = abs(upper.numerator).bit_length() + upper.denominator.bit_length()
+    if factor * bits > MAX_UPPER_SIZE:
+        raise _UsageError(
+            f"(index sum + 1) x (bits of p + bits of q) = {factor:,} x {bits:,} "
+            f"= {factor * bits:,} is above the limit MAX_UPPER_SIZE = {MAX_UPPER_SIZE:,}"
+        )
+
+
 def _check_recurrence_work(ks: tuple[int, ...], mu: int) -> None:
     heads = ks[:-1]
     cap = MAX_RECURRENCE_WORK // (sum(ks) + 1) ** 2
     cells = itertools.chain.from_iterable(
-        _box_compositions(a, heads) for a in range(min(mu, sum(heads)) + 1)
+        compositions(a, heads) for a in range(min(mu, sum(heads)) + 1)
     )
     if sum(1 for _ in itertools.islice(cells, cap + 1)) > cap:
         raise _UsageError(
@@ -168,6 +201,7 @@ def _auto_value(ks: tuple[int, ...], upper: Fraction) -> Fraction:
 def _cmd_integral(args: argparse.Namespace) -> int:
     ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
     _check_index_sum(ks)
+    _check_upper_size(ks, upper)
     start = time.perf_counter_ns()
     value = _integral_value(ks, upper, args.method)
     elapsed_us = (time.perf_counter_ns() - start) // 1000
@@ -215,6 +249,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for flag, bound in (("--max-sum", args.max_sum), ("--max-r", args.max_r)):
         if bound < 0:
             raise _UsageError(f"{flag} must be >= 0, got {bound}")
+    parts, total = max(args.max_r, 4), max(args.max_sum, 4 * args.max_r)
+    tuples = math.comb(total + parts + 1, parts) - 1
+    if tuples > MAX_SWEEP_TUPLES:
+        raise _UsageError(
+            f"--max-sum {args.max_sum} and --max-r {args.max_r} admit {tuples:,} tuples "
+            f"(at most {parts} parts, sum at most {total}), above the limit "
+            f"MAX_SWEEP_TUPLES = {MAX_SWEEP_TUPLES:,}"
+        )
     from .verify import run_suite  # the suites load only for this command
 
     report = run_suite(args.suite, args.max_sum, args.max_r)
@@ -236,6 +278,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
     _check_index_sum(ks)
+    _check_upper_size(ks, upper)
     if args.reps < 1:
         raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]

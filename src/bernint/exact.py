@@ -9,10 +9,16 @@ or multinomial coefficient is 0 whenever any lower index is negative or
 exceeds the upper index.  This convention is what makes the closed-form
 integral sums total functions -- terms that would reference a Bernoulli
 polynomial of negative index come with a zero coefficient instead.
+
+`compositions(total, caps)` is the package's one walk over index tuples:
+the recurrence's box, the CLI's recurrence work estimate and the oracle,
+parity, mu and carlitz4 sweeps enumerate through it, and it visits only
+the tuples it yields.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -50,23 +56,29 @@ def multinomial(mu: int, parts: Sequence[int]) -> int:
     return out
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield every tuple of `parts` nonnegative ints summing to `total`.
+def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Yield every composition i of `total` with 0 <= i_j <= caps[j], and no other.
 
-    Enumeration is lexicographic, e.g. (0,2), (1,1), (2,0); the number of
-    tuples is C(total + parts - 1, parts - 1).  The degenerate case
-    parts == 0 yields the empty tuple when total == 0 and nothing
-    otherwise (the convention the r = 1 integral formulas rely on).
+    Enumeration is lexicographic, e.g. compositions(2, (2, 2)) yields (0, 2),
+    (1, 1), (2, 0).  With every cap at `total` the r parts are free and there
+    are C(total + r - 1, r - 1) tuples.  Part j ranges only over the values
+    that leave parts j+1.. room to make up the rest, so every branch of the
+    walk ends in a yielded tuple.  With no caps the walk yields the empty
+    tuple when total == 0 and nothing otherwise (the convention the r = 1
+    integral formulas rely on).
     """
-    if total < 0:
-        return
-    if parts == 0:
+    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[j:])
+    last = len(caps) - 1
+
+    def walk(head: tuple[int, ...], j: int, left: int) -> Iterator[tuple[int, ...]]:
+        if j == last:  # the last part is what is left
+            yield head + (left,)
+            return
+        for i in range(max(0, left - room[j + 1]), min(caps[j], left) + 1):
+            yield from walk(head + (i,), j + 1, left - i)
+
+    if not caps:
         if total == 0:
             yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    elif 0 <= total <= room[0]:
+        yield from walk((), 0, total)

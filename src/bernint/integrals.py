@@ -34,7 +34,7 @@ import threading
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from . import kernels
+from . import exact, kernels
 from .bernoulli import DEFAULT_CACHE, BernoulliCache, Polynomial, bernoulli_polynomial
 from .bernoulli import _check_index, _check_upper
 from .exact import binomial, multinomial
@@ -320,26 +320,6 @@ def closed_form_integral_poly(
 # ---------------------------------------------------------------------------
 
 
-def _box_compositions(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every composition i of `total` with 0 <= i_j <= caps_j, and no other.
-
-    Part j ranges only over the values that leave parts j+1.. room to make up
-    the rest, so every branch of the walk ends in a yielded tuple.
-    """
-    room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[j:])
-
-    def walk(j: int, left: int) -> Iterator[tuple[int, ...]]:
-        if j == len(caps):
-            yield ()
-            return
-        for i in range(max(0, left - room[j + 1]), min(caps[j], left) + 1):
-            for rest in walk(j + 1, left - i):
-                yield (i,) + rest
-
-    if 0 <= total <= room[0]:
-        yield from walk(0, total)
-
-
 def _reduced_heads(
     heads: tuple[int, ...], a: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -348,7 +328,7 @@ def _reduced_heads(
     Only compositions inside the box i_j <= k_j are enumerated (the zero
     convention removes the others), so a > sum(heads) yields nothing at once.
     """
-    for comp in _box_compositions(a, heads):
+    for comp in exact.compositions(a, heads):
         yield tuple(h - i for h, i in zip(heads, comp)), multinomial(a, comp)
 
 

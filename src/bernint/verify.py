@@ -114,10 +114,14 @@ class VerificationReport:
 def _tuples_with_sum_at_most(
     r: int, max_sum: int, max_entry: int | None = None
 ) -> Iterator[tuple[int, ...]]:
+    """Every r-tuple with entries <= max_entry and sum <= max_sum, in product order.
+
+    A last, slack part takes up what the r entries leave of max_sum, so the
+    walk visits only the tuples it yields.
+    """
     cap = max_sum if max_entry is None else min(max_entry, max_sum)
-    for ks in itertools.product(range(cap + 1), repeat=r):
-        if sum(ks) <= max_sum:
-            yield ks
+    for ks in compositions(max_sum, (cap,) * r + (max_sum,)):
+        yield ks[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ def verify_parity(
     start = time.perf_counter()
     for r in range(1, max_r + 1):
         for total in range(1, max_sum + 1, 2):
-            for ks in compositions(total, r):
+            for ks in compositions(total, (total,) * r):
                 anti = oracle_integral_poly(ks, cache)
                 ok = anti(1) == 0 and closed_form_integral(ks, cache=cache) == 0
                 report.check(ok, ks=list(ks), upper=1, expected=0, got=anti(1))
@@ -535,7 +539,7 @@ def verify_carlitz4(
     count = 0
 
     for total in range(0, max_sum + 1, 2):
-        for ks in compositions(total, 4):
+        for ks in compositions(total, (total,) * 4):
             count += 1
             expected = oracle_integral_poly(ks, cache)(1)
 

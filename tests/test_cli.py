@@ -367,6 +367,66 @@ class TestWorkLimits:
         assert time.perf_counter() - start < 5
         assert "MAX_RECURRENCE_WORK" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["integral", "bench"])
+    def test_upper_size_limit(self, monkeypatch, capsys, command):
+        # (2, 1) at 1/3 sizes (3 + 1) x (1 + 2 bits) = 12
+        argv = [command, "--ks", "2,1", "--upper", "1/3"]
+        argv += ["--reps", "1"] if command == "bench" else []
+        monkeypatch.setattr(cli, "MAX_UPPER_SIZE", 12)
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(cli, "MAX_UPPER_SIZE", 11)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "= 4 x 3 = 12 is above the limit MAX_UPPER_SIZE = 11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["integral", "bench"])
+    def test_the_limits_stop_a_huge_upper_at_once(self, capsys, command):
+        # (1000,) at 1/10^1000 was still running after 90 s
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--ks", "1000", "--upper", f"1/{10**1000}"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_UPPER_SIZE" in capsys.readouterr().err
+
+    def test_values_print_in_full(self, capsys):
+        # this value has more than the 4,300 digits Python's int-to-str
+        # allows by default; the CLI lifts that limit around printing only
+        before = sys.get_int_max_str_digits()
+        assert cli.main(["integral", "--ks", "100", "--upper", f"1/{10**45}"]) == 0
+        assert sys.get_int_max_str_digits() == before
+        printed = capsys.readouterr().out.strip()
+        value = oracle_integral((100,), F(1, 10**45))
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(value)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert len(want) > 4300
+        assert printed == want
+
+    def test_sweep_limit(self, monkeypatch, capsys):
+        # the default bounds, --max-sum 12 and --max-r 4, admit the tuples of
+        # at most 4 parts with sum at most 16: C(16 + 4 + 1, 4) - 1 = 5,984
+        monkeypatch.setattr(cli, "MAX_SWEEP_TUPLES", 5984)
+        assert cli.main(["verify", "--suite", "table"]) == 0
+        monkeypatch.setattr(cli, "MAX_SWEEP_TUPLES", 5983)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "table"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "5,984 tuples" in err and "MAX_SWEEP_TUPLES = 5,983" in err
+
+    def test_the_limits_stop_a_wide_sweep_at_once(self, capsys):
+        # the oracle suite at --max-r 12 would walk about 7^12 tuples
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "oracle", "--max-r", "12"])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_SWEEP_TUPLES" in capsys.readouterr().err
+
 
 # what a cold `bernint integral` and `import bernint` must not import
 LAZY_MODULES = ("bernint.verify", "dataclasses", "inspect", "statistics")

@@ -1,5 +1,6 @@
 """Combinatorial coefficients and the extended-zero convention."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,7 @@ class TestMultinomial:
         # coefficient; negative entries drop out via the zero convention
         for r in range(1, 6):
             for mu in range(1, 11):
-                for parts in compositions(mu, r):
+                for parts in compositions(mu, (mu,) * r):
                     total = sum(
                         multinomial(
                             mu - 1, parts[:j] + (parts[j] - 1,) + parts[j + 1 :]
@@ -63,11 +64,9 @@ class TestMultinomial:
                     assert total == multinomial(mu, parts), (mu, parts)
 
     def test_symmetry_exhaustive(self):
-        import itertools
-
         for r in range(1, 5):
             for mu in range(9):
-                for parts in compositions(mu, r):
+                for parts in compositions(mu, (mu,) * r):
                     value = multinomial(mu, parts)
                     for perm in itertools.permutations(parts):
                         assert multinomial(mu, perm) == value
@@ -75,26 +74,40 @@ class TestMultinomial:
 
 class TestCompositions:
     def test_single_empty_composition(self):
-        assert list(compositions(0, 3)) == [(0, 0, 0)]
+        assert list(compositions(0, (0, 0, 0))) == [(0, 0, 0)]
 
     def test_lexicographic_order(self):
-        assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+        assert list(compositions(2, (2, 2))) == [(0, 2), (1, 1), (2, 0)]
 
     def test_stars_and_bars_count(self):
         for total in range(8):
             for parts in range(1, 5):
-                got = list(compositions(total, parts))
+                got = list(compositions(total, (total,) * parts))
                 assert len(got) == binomial(total + parts - 1, parts - 1)
                 assert len(set(got)) == len(got)
                 assert all(len(c) == parts and sum(c) == total for c in got)
                 assert got == sorted(got)
 
     def test_count_example(self):
-        assert len(list(compositions(4, 3))) == 15
+        assert len(list(compositions(4, (4, 4, 4)))) == 15
 
     def test_degenerate_zero_parts(self):
-        assert list(compositions(0, 0)) == [()]
-        assert list(compositions(3, 0)) == []
+        assert list(compositions(0, ())) == [()]
+        assert list(compositions(3, ())) == []
+
+    def test_caps_bound_each_part(self):
+        assert list(compositions(3, (1, 2, 1))) == [(0, 2, 1), (1, 1, 1), (1, 2, 0)]
+        assert list(compositions(5, (1, 2, 1))) == []
+        assert list(compositions(-1, (3, 3))) == []
+
+    @given(st.integers(-2, 12), st.lists(st.integers(0, 5), max_size=5))
+    def test_equals_the_filtered_product(self, total, caps):
+        # the walk visits only what it yields, and yields what the product
+        # of the ranges 0..cap, filtered by sum, holds, in the same order
+        want = [
+            c for c in itertools.product(*(range(cap + 1) for cap in caps)) if sum(c) == total
+        ]
+        assert list(compositions(total, caps)) == want
 
 
 small_fractions = st.fractions(

@@ -33,7 +33,7 @@ from bernint import (
     three_factor_formula,
     two_factor_formula,
 )
-from bernint import integrals
+from bernint import exact, integrals
 from bernint.bernoulli import Polynomial
 
 F = Fraction
@@ -199,7 +199,7 @@ class TestRecurrence:
     def count_enumerated(monkeypatch, limit):
         """Count the compositions the recurrence enumerates; fail past `limit`."""
         enumerated = [0]
-        box_compositions = integrals._box_compositions
+        box_compositions = exact.compositions
 
         def counted(total, caps):
             for comp in box_compositions(total, caps):
@@ -208,7 +208,7 @@ class TestRecurrence:
                     raise AssertionError(f"more than {limit:,} compositions enumerated")
                 yield comp
 
-        monkeypatch.setattr(integrals, "_box_compositions", counted)
+        monkeypatch.setattr(exact, "compositions", counted)
         return enumerated
 
     def test_depth_past_the_box_enumerates_nothing_more(self, monkeypatch):
@@ -237,7 +237,7 @@ class TestRecurrence:
         # filtering them all takes about 3 s, the box walk well under 1 ms
         start = time.perf_counter()
         caps = (0,) * 30 + (5,)
-        assert list(integrals._box_compositions(5, caps)) == [caps]
+        assert list(exact.compositions(5, caps)) == [caps]
         assert time.perf_counter() - start < 0.5
 
     def test_rejects_bad_depth(self):

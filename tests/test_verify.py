@@ -1,14 +1,16 @@
 """The verification suites themselves: all green, and reports well-formed."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from bernint import oracle_integral
+from bernint import Polynomial, oracle_integral, verify
 from bernint.verify import (
     SUITES,
     TABLE_ROWS,
     VerificationReport,
+    _tuples_with_sum_at_most,
     evaluate_table_expression,
     run_suite,
     verify_carlitz4,
@@ -31,6 +33,21 @@ def check_report(report, suite):
     assert report.elapsed_s >= 0
     d = report.to_dict()
     assert d["ok"] and d["passed"] == d["attempted"] and d["time_us"] >= 0
+
+
+def product_and_filter(r, max_sum, max_entry=None):
+    """The walk `_tuples_with_sum_at_most` replaced, kept as its reference."""
+    cap = max_sum if max_entry is None else min(max_entry, max_sum)
+    return [ks for ks in itertools.product(range(cap + 1), repeat=r) if sum(ks) <= max_sum]
+
+
+def test_tuples_with_sum_at_most_keeps_the_product_order():
+    # the mu suite samples from this pool by position, so the order matters
+    for r in range(6):
+        for max_sum in range(-3, 10):
+            for max_entry in (None, 0, 2, 6):
+                got = list(_tuples_with_sum_at_most(r, max_sum, max_entry))
+                assert got == product_and_filter(r, max_sum, max_entry), (r, max_sum, max_entry)
 
 
 def test_identities():
@@ -134,3 +151,71 @@ def test_run_suite_dispatch():
     check_report(report, "parity")
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def off_by(monkeypatch, route, wrong_on, delta=1):
+    """Make `bernint.verify.<route>` off by `delta` on the calls `wrong_on` picks."""
+    right = getattr(verify, route)
+
+    def wrong(*args, **kwargs):
+        value = right(*args, **kwargs)
+        return value + delta if wrong_on(*args, **kwargs) else value
+
+    monkeypatch.setattr(verify, route, wrong)
+
+
+def break_table_row(monkeypatch):
+    """Add 1 to variant "b" of the golden row for (1, 1, 2, 2)."""
+    rows = tuple(
+        (ks, {**variants, "b": variants["b"] + ((F(1), ()),)}) if ks == (1, 1, 2, 2)
+        else (ks, variants)
+        for ks, variants in TABLE_ROWS
+    )
+    monkeypatch.setattr(verify, "TABLE_ROWS", rows)
+
+
+# suite -> (make the route it checks wrong on one instance, what its
+# first_failure must then say); each runs at max_sum = max_r = 3
+BROKEN_ROUTES = {
+    "identities": (
+        lambda mp: off_by(mp, "bernoulli_polynomial", lambda k, *_: k == 3,
+                          Polynomial([0, 0, 0, 1])),
+        {"identity": "derivative", "k": 3},
+    ),
+    "oracle": (
+        lambda mp: off_by(mp, "closed_form_integral", lambda ks, *_, **__: ks == (1, 2)),
+        {"ks": [1, 2], "upper": "1"},
+    ),
+    # asymmetric: (2, 1) is wrong and its sorted base (1, 2) is not
+    "symmetry": (
+        lambda mp: off_by(mp, "closed_form_integral", lambda ks, *_, **__: ks == (2, 1)),
+        {"ks": [1, 2], "got": "permutation (2, 1) differs"},
+    ),
+    "parity": (
+        lambda mp: off_by(mp, "closed_form_integral", lambda ks, *_, **__: ks == (1, 2)),
+        {"ks": [1, 2], "upper": 1},
+    ),
+    # the pool at these bounds holds 31 tuples, under the 50 samples, so
+    # every tuple is checked
+    "mu": (
+        lambda mp: off_by(mp, "recurrence_integral", lambda ks, upper, mu, cache: ks == (1, 2)),
+        {"ks": [1, 2], "got": "mu=1 disagrees"},
+    ),
+    "table": (break_table_row, {"ks": [1, 1, 2, 2], "variant": "b"}),
+    "carlitz4": (
+        lambda mp: off_by(mp, "four_factor_at_one",
+                          lambda *ks, **kw: ks == (0, 1, 0, 1) and "variant" not in kw),
+        {"ks": [0, 1, 0, 1], "got": "corrected/triple-sum mismatch"},
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_can_fail(monkeypatch, suite):
+    assert suite in BROKEN_ROUTES, f"suite {suite!r} has no broken-route case"
+    break_route, named = BROKEN_ROUTES[suite]
+    break_route(monkeypatch)
+    report = run_suite(suite, max_sum=3, max_r=3)
+    assert report.ok is False
+    assert report.first_failure is not None
+    assert report.first_failure.items() >= named.items(), report.first_failure
