@@ -17,6 +17,7 @@ emits one self-contained record per invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -76,23 +77,32 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p" or "p/q" (q > 0, sign on the numerator)."""
+    """Parse the wire format "p" or "p/q" (q > 0, sign on the numerator), in full.
+
+    Python refuses to convert more than 4,300 digits to an int by default;
+    the limit is lifted for the conversions only and then restored, so every
+    value `format_rational` prints parses back.
+    """
     m = _RATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
+    with _all_digits():
+        return Fraction(int(m.group(1)), int(m.group(2)) if m.group(2) else 1)
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction in the wire format (str() already matches it), in full.
+    """Render a Fraction in the wire format (str() already matches it), in full."""
+    with _all_digits():
+        return str(value)
 
-    Python refuses to convert an int of more than 4,300 digits by default;
-    the limit is lifted for this conversion only and then restored.
-    """
+
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's 4,300-digit limit on int/str conversions, then restore it."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -140,6 +150,20 @@ def _check_index_sum(ks: Sequence[int]) -> None:
         raise _UsageError(
             f"index sum {sum(ks)} is above the limit MAX_INDEX_SUM = {MAX_INDEX_SUM}"
         )
+
+
+def _parse_upper(text: str) -> Fraction:
+    # p/q within MAX_UPPER_SIZE has bits(p) + bits(q) <= MAX_UPPER_SIZE, so
+    # at most MAX_UPPER_SIZE log10(2) + 2 digits; a longer text is refused
+    # before its quadratic-time conversion to int
+    digits = sum(map(str.isdigit, text))
+    most = int(MAX_UPPER_SIZE * math.log10(2)) + 2
+    if digits > most:
+        raise _UsageError(
+            f"--upper has {digits:,} digits; an upper within the limit "
+            f"MAX_UPPER_SIZE = {MAX_UPPER_SIZE:,} has at most {most:,}"
+        )
+    return parse_rational(text)
 
 
 def _check_upper_size(ks: Sequence[int], upper: Fraction) -> None:
@@ -199,7 +223,7 @@ def _auto_value(ks: tuple[int, ...], upper: Fraction) -> Fraction:
 
 
 def _cmd_integral(args: argparse.Namespace) -> int:
-    ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
+    ks, upper = parse_index_list(args.ks), _parse_upper(args.upper)
     _check_index_sum(ks)
     _check_upper_size(ks, upper)
     start = time.perf_counter_ns()
@@ -276,7 +300,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import statistics
 
-    ks, upper = parse_index_list(args.ks), parse_rational(args.upper)
+    ks, upper = parse_index_list(args.ks), _parse_upper(args.upper)
     _check_index_sum(ks)
     _check_upper_size(ks, upper)
     if args.reps < 1:

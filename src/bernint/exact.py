@@ -62,23 +62,36 @@ def compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     Enumeration is lexicographic, e.g. compositions(2, (2, 2)) yields (0, 2),
     (1, 1), (2, 0).  With every cap at `total` the r parts are free and there
     are C(total + r - 1, r - 1) tuples.  Part j ranges only over the values
-    that leave parts j+1.. room to make up the rest, so every branch of the
+    that leave parts j+1.. room to make up the rest, so every step of the
     walk ends in a yielded tuple.  With no caps the walk yields the empty
     tuple when total == 0 and nothing otherwise (the convention the r = 1
-    integral formulas rely on).
+    integral formulas rely on).  The walk is a loop over one list of parts,
+    so any number of parts works.
     """
     room = list(itertools.accumulate(reversed(caps), initial=0))[::-1]  # sum(caps[j:])
-    last = len(caps) - 1
-
-    def walk(head: tuple[int, ...], j: int, left: int) -> Iterator[tuple[int, ...]]:
-        if j == last:  # the last part is what is left
-            yield head + (left,)
-            return
-        for i in range(max(0, left - room[j + 1]), min(caps[j], left) + 1):
-            yield from walk(head + (i,), j + 1, left - i)
-
     if not caps:
         if total == 0:
             yield ()
-    elif 0 <= total <= room[0]:
-        yield from walk((), 0, total)
+        return
+    if not 0 <= total <= room[0]:
+        return
+    last = len(caps) - 1
+    parts = [0] * len(caps)
+    j, left = 0, total  # fill parts j.. with the smallest tail that sums to left
+    while True:
+        for i in range(j, last):
+            parts[i] = max(0, left - room[i + 1])
+            left -= parts[i]
+        parts[last] = left  # the last part is what is left
+        yield tuple(parts)
+        # the successor raises the rightmost part j that is below its cap and
+        # has something after it to take from, then refills the parts after j
+        left = parts[last]
+        j = last - 1
+        while j >= 0 and (left == 0 or parts[j] == caps[j]):
+            left += parts[j]
+            j -= 1
+        if j < 0:
+            return
+        parts[j] += 1
+        j, left = j + 1, left - 1

@@ -268,8 +268,10 @@ def closed_form_integral(
     `kernels.closed_form_sum` evaluates the sum without walking the box, as
     a product of one integer polynomial per head index k_1, ..., k_{r-1}.
     Unbounded: the table at `upper` grows to k_1 + ... + k_r + 1 entries and
-    the head products to degree k_1 + ... + k_{r-1} (index sum 1,000: 0.6 s
-    for r = 1 and 6.5 s for five equal indices, cold, on one x86-64 core).
+    the head products to degree k_1 + ... + k_{r-1}.  At index sum 1,000,
+    cold, on one x86-64 core: 0.6 s for r = 1 and 6.5 s for five equal
+    indices; large heads before a small last index are slowest, (500,499,1)
+    taking 5 s at upper 1 and 13 s at 1/5.
     """
     ks = _check_indices(ks)
     upper = _check_upper(upper)

@@ -1,13 +1,13 @@
 """The two hot loops: integer polynomial products and the closed-form sum.
 
-Both work on plain Python ints, exact at any size, and reduce once at the
-end.  A value table is two int lists, num[k]/den[k] = B_k(x)/k! unreduced
+Both work on plain Python ints, exact at any size; the caller reduces
+once.  A value table is two int lists, num[k]/den[k] = B_k(x)/k! unreduced
 with den[k] dividing den[k + 1] (the format of `integrals._taylor_table`).
 """
 
 from __future__ import annotations
 
-from math import factorial, gcd
+from math import factorial
 from typing import Sequence
 
 __all__ = ["active_backend", "closed_form_sum", "convolve"]
@@ -77,7 +77,7 @@ def closed_form_sum(
     onum: Sequence[int],
     oden: Sequence[int],
 ) -> tuple[int, int]:
-    """Scaled integral of B_{k_1}(z)...B_{k_r}(z) from 0 to x as reduced (num, den).
+    """Scaled integral of B_{k_1}(z)...B_{k_r}(z) from 0 to x as (num, den), den > 0.
 
     The tables give B_k(x)/k! (xnum/xden) and B_k/k! (onum/oden) for
     k = 0 .. sum(ks) + 1, unreduced, each denominator dividing the next.
@@ -87,11 +87,9 @@ def closed_form_sum(
     (k_1 - i_1, ..., k_{r-1} - i_{r-1}, k_r + a + 1).  As multinomial(a; i)
     = a!/(i_1!...i_{r-1}!), the sum over compositions is a! [t^a] of a
     product of r - 1 polynomials, one per head index, at x and again at 0.
+    Unreduced: `integrals.closed_form_integral` reduces it once, as a Fraction.
     """
     heads, kr = ks[:-1], ks[-1]
     xn, xd = _boundary_sum(heads, kr, xnum, xden)
     on, od = _boundary_sum(heads, kr, onum, oden)
-    num = xn * od - on * xd
-    den = xd * od
-    g = gcd(num, den)
-    return num // g, den // g
+    return xn * od - on * xd, xd * od

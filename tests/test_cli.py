@@ -358,6 +358,13 @@ class TestWorkLimits:
         assert "more than 4 box cells" in capsys.readouterr().err
         assert cli.main([command, "--ks", "2,1,1", "--method", "recurrence:1"]) == 0
 
+    def test_recurrence_over_a_thousand_factors(self, capsys):
+        # the box walk is a loop, so the number of parts is not bounded by
+        # Python's recursion limit
+        argv = ["integral", "--ks", ",".join(["0"] * 1000), "--method", "recurrence:1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_the_limits_stop_a_hostile_recurrence_at_once(self, capsys):
         # 2^29 box cells at mu = 30; the check stops counting past its cap
         start = time.perf_counter()
@@ -390,6 +397,15 @@ class TestWorkLimits:
         assert time.perf_counter() - start < 1
         assert "MAX_UPPER_SIZE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["integral", "bench"])
+    def test_the_limits_refuse_a_long_upper_before_parsing(self, capsys, command):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--ks", "0", "--upper", "1/" + "1" * 100_000])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_UPPER_SIZE" in capsys.readouterr().err
+
     def test_values_print_in_full(self, capsys):
         # this value has more than the 4,300 digits Python's int-to-str
         # allows by default; the CLI lifts that limit around printing only
@@ -405,6 +421,24 @@ class TestWorkLimits:
             sys.set_int_max_str_digits(before)
         assert len(want) > 4300
         assert printed == want
+        # and what the CLI prints parses back, with the limit restored after
+        assert cli.parse_rational(printed) == value
+        assert sys.get_int_max_str_digits() == before
+
+    def test_upper_digits_at_the_limit(self, capsys):
+        # an upper within MAX_UPPER_SIZE = 16,000 has at most 4,818 digits:
+        # 0/10^4816, with 15,999 bits, has that many and runs
+        upper = "1/1" + "0" * 4300
+        assert cli.main(["integral", "--ks", "0", "--upper", upper]) == 0
+        assert capsys.readouterr().out == upper + "\n"
+        upper = "0/1" + "0" * 4816
+        assert cli.main(["integral", "--ks", "0", "--upper", upper]) == 0
+        assert capsys.readouterr().out == "0\n"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integral", "--ks", "0", "--upper", upper + "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--upper has 4,819 digits" in err and "MAX_UPPER_SIZE = 16,000" in err
 
     def test_sweep_limit(self, monkeypatch, capsys):
         # the default bounds, --max-sum 12 and --max-r 4, admit the tuples of

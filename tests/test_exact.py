@@ -100,6 +100,12 @@ class TestCompositions:
         assert list(compositions(5, (1, 2, 1))) == []
         assert list(compositions(-1, (3, 3))) == []
 
+    def test_many_parts(self):
+        # far more parts than Python's recursion limit allows frames
+        caps = (1,) + (0,) * 1998 + (1,)
+        assert list(compositions(1, caps)) == [(0,) * 1999 + (1,), (1,) + (0,) * 1999]
+        assert list(compositions(0, (0,) * 2000)) == [(0,) * 2000]
+
     @given(st.integers(-2, 12), st.lists(st.integers(0, 5), max_size=5))
     def test_equals_the_filtered_product(self, total, caps):
         # the walk visits only what it yields, and yields what the product
