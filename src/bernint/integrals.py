@@ -14,15 +14,16 @@ Two independent evaluation routes are kept side by side:
   family it telescopes from, with the residual integrals handed to the
   oracle so the comparison is a genuine cross-check.
 
-The specialized two-, three- and four-factor formulas (`two_factor_formula`,
-`norlund_value`, `three_factor_formula`, `three_factor_at_one`,
-`four_factor_at_one`, `four_factor_even_sum`) are the classical shapes those
-sums collapse to; all of them are swept against the oracle by the
-verification suites.  They read the cached scaled tables (B_n(x)/n! at the
-upper, B_n/n! at 0) as integers over one common denominator per table, sum
-in ints and reduce once per result.  Everything is exact: index tuples hold
-nonnegative ints, upper limits are ints or Fractions (a float or a bool is
-rejected with ValueError), and results are Fractions.
+`two_factor_formula` and `three_factor_formula` are the closed form at
+r = 2 and r = 3, named for the classical sums they state, and call
+`closed_form_integral`.  The other specialized formulas (`norlund_value`,
+`three_factor_at_one`, `four_factor_at_one`, `four_factor_even_sum`) are
+different expressions for the value over [0, 1], swept against the oracle
+by the verification suites.  They read the cached table of B_n/n! as
+integers over one common denominator, sum in ints and reduce once per
+result.  Everything is exact: index tuples hold nonnegative ints, upper
+limits are ints or Fractions (a float or a bool is rejected with
+ValueError), and results are Fractions.
 """
 
 from __future__ import annotations
@@ -395,25 +396,15 @@ def two_factor_formula(
     upper: Scalar = Fraction(1),
     cache: BernoulliCache | None = None,
 ) -> Fraction:
-    """I_{k,m}(x) as the single alternating binomial sum over boundary pairs."""
-    ks = _check_indices((k, m))
-    k, m = ks
-    upper = _check_upper(upper)
-    cache = cache or DEFAULT_CACHE
-    top = k + m + 1
-    xnum, xden, onum, oden = _scaled_tables(upper, top, cache)
-    x, lx = _integer_table(xnum, xden, top)
-    o, lo = _integer_table(onum, oden, top)
-    # with B_n = n! B~_n the weight C(top, k-j) (k-j)! (m+j+1)! / top! of
-    # each pair is 1, since (k-j) + (m+j+1) = top; the pair sums are
-    # integers over lx^2 and lo^2
-    acc_x = acc_o = 0
-    for j in range(k + 1):
-        sign = -1 if j & 1 else 1
-        acc_x += sign * x[k - j] * x[m + j + 1]
-        acc_o += sign * o[k - j] * o[m + j + 1]
-    num = math.factorial(k) * math.factorial(m) * (acc_x * lo**2 - acc_o * lx**2)
-    return Fraction(num, (lx * lo) ** 2)
+    """I_{k,m}(x) as the single alternating sum over boundary pairs.
+
+        I_{k,m}(x) = k! m! sum_{j=0}^{k} (-1)^j C~_{k-j, m+j+1}(x)
+
+    with C~ the scaled boundary term.  This is the closed form at r = 2,
+    where every multinomial weight is 1, so `closed_form_integral`
+    evaluates it.
+    """
+    return closed_form_integral((k, m), upper, cache=cache)
 
 
 def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fraction:
@@ -437,27 +428,16 @@ def three_factor_formula(
     upper: Scalar = Fraction(1),
     cache: BernoulliCache | None = None,
 ) -> Fraction:
-    """I_{n,m,k}(x) via the double binomial sum over boundary triples."""
-    ks = _check_indices((n, m, k))
-    n, m, k = ks
-    upper = _check_upper(upper)
-    cache = cache or DEFAULT_CACHE
-    top = n + m + k + 1
-    xnum, xden, onum, oden = _scaled_tables(upper, top, cache)
-    x, lx = _integer_table(xnum, xden, top)
-    o, lo = _integer_table(onum, oden, top)
-    # each cell's scaled boundary term C~ is (its x half over lx^3) minus
-    # (its 0 half over lo^3); the halves are summed apart as integers
-    acc_x = acc_o = 0
-    for a in range(n + m + 1):
-        sign = -1 if a & 1 else 1
-        for i in range(max(0, a - n), min(a, m) + 1):  # n1, m1 >= 0
-            n1, m1 = n - a + i, m - i
-            w = sign * binomial(a, i)
-            acc_x += w * x[n1] * x[m1] * x[k + a + 1]
-            acc_o += w * o[n1] * o[m1] * o[k + a + 1]
-    num = (acc_x * lo**3 - acc_o * lx**3) * _factorial_product(ks)
-    return Fraction(num, (lx * lo) ** 3)
+    """I_{n,m,k}(x) as the double binomial sum over boundary triples.
+
+        I_{n,m,k}(x) = n! m! k! sum_{a=0}^{n+m} (-1)^a sum_i C(a, i) C~_{n-a+i, m-i, k+a+1}(x)
+
+    with C~ the scaled boundary term and i over the cells with n - a + i and
+    m - i nonnegative.  This is the closed form at r = 3, where
+    multinomial(a; (a - i, i)) = C(a, i), so `closed_form_integral`
+    evaluates it.
+    """
+    return closed_form_integral((n, m, k), upper, cache=cache)
 
 
 def three_factor_at_one(

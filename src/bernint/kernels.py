@@ -14,7 +14,11 @@ __all__ = ["active_backend", "closed_form_sum", "convolve"]
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation; there is only the pure-Python one."""
+    """Name of the kernel implementation; there is only the pure-Python one.
+
+    Kept only because the benchmark's worker (`perfbench/worker.py`) records
+    it; ROADMAP item 5 deletes it once item 1 stops that call.
+    """
     return "pure"
 
 

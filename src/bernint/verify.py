@@ -7,9 +7,9 @@ equalities.  The suites are the library-level counterpart of the CLI's
 * identities -- Bernoulli polynomial identities (derivative, difference,
   antiderivative, reflection, value at 1, odd vanishing) plus a power-series
   expansion of the generating function as an independent construction.
-* oracle     -- closed form, recurrence specializations and the two/three/
-  four-factor formulas against brute-force expansion, at several upper
-  limits including points outside [0, 1].
+* oracle     -- closed form against brute-force expansion, at several upper
+  limits including points outside [0, 1], and the two-, three- and
+  four-factor formulas over [0, 1].
 * symmetry   -- invariance of the closed form under permutations of the
   index tuple.
 * parity     -- vanishing over [0, 1] for odd index sums.
@@ -47,8 +47,6 @@ from .integrals import (
     recurrence_integral,
     recurrence_residual_indices,
     three_factor_at_one,
-    three_factor_formula,
-    two_factor_formula,
 )
 
 # Upper limits used by the sweeps; the closed form is a polynomial identity
@@ -229,7 +227,7 @@ def verify_oracle(
     r_values: Sequence[int] | None = None,
     cache: BernoulliCache | None = None,
 ) -> VerificationReport:
-    """Closed form and specialized formulas against brute-force expansion."""
+    """Closed form and the formulas over [0, 1] against brute-force expansion."""
     report = VerificationReport("oracle")
     start = time.perf_counter()
     rs = tuple(r_values) if r_values is not None else tuple(range(1, max_r + 1))
@@ -241,14 +239,12 @@ def verify_oracle(
             for upper in SWEEP_UPPERS:
                 expected = anti(upper)
                 ok = closed_form_integral(ks, upper, cache=cache) == expected
-                if ok and r == 2:
-                    ok = two_factor_formula(ks[0], ks[1], upper, cache) == expected
-                    if ok and upper == 1 and min(ks) >= 1:
-                        ok = norlund_value(ks[0], ks[1], cache) == expected
-                if ok and r == 3:
-                    ok = three_factor_formula(*ks, upper, cache=cache) == expected
-                    if ok and upper == 1 and min(ks) >= 1:
-                        ok = three_factor_at_one(*ks, cache=cache) == expected
+                # two_factor_formula and three_factor_formula are the closed form
+                # itself; the r = 2 and 3 formulas below are other sums
+                if ok and r == 2 and upper == 1 and min(ks) >= 1:
+                    ok = norlund_value(ks[0], ks[1], cache) == expected
+                if ok and r == 3 and upper == 1 and min(ks) >= 1:
+                    ok = three_factor_at_one(*ks, cache=cache) == expected
                 if ok and r == 4 and upper == 1:
                     ok = four_factor_at_one(*ks, cache=cache) == expected
                     if ok and sum(ks) % 2 == 0:

@@ -53,6 +53,8 @@ class TestWireFormat:
     def test_index_list(self):
         assert cli.parse_index_list("1,1,2") == (1, 1, 2)
         assert cli.parse_index_list("0") == (0,)
+        assert cli.parse_index_list("0007,01") == (7, 1)
+        assert cli.parse_index_list("0" * 5000 + ",1") == (0, 1)
         bad_lists = ["", "1,,2", "1,-2", "a", "1 2", "١,١", "1,٢"]
         for bad in bad_lists + [" 1 , 2", "1,\t2", "1,2 ", "\u20031"]:
             with pytest.raises(ValueError):
@@ -156,12 +158,12 @@ class TestMethodDispatch:
 class TestAutoMethod:
     def test_every_branch_matches_the_oracle(self):
         cases = [
-            ((2, 3), F(1)),       # two-factor shape
-            ((1, 1, 2), F(1)),    # three-factor at 1, all indices >= 1
-            ((0, 2, 2), F(1)),    # three-factor with a zero index
-            ((1, 1, 2, 2), F(1)), # four-factor at 1
-            ((1, 1, 2, 2), F(2)), # off [0, 1]: generic closed form
-            ((1, 1, 1, 1, 2), F(1)),  # r = 5: generic closed form
+            ((2, 3), F(1)),       # r = 2 at 1: the closed form
+            ((1, 1, 2), F(1)),    # three_factor_at_one, all indices >= 1
+            ((0, 2, 2), F(1)),    # r = 3 with a zero index: the closed form
+            ((1, 1, 2, 2), F(1)), # four_factor_at_one
+            ((1, 1, 2, 2), F(2)), # off [0, 1]: the closed form
+            ((1, 1, 1, 1, 2), F(1)),  # r = 5: the closed form
         ]
         for ks, upper in cases:
             got = cli._auto_value(ks, upper)
@@ -460,6 +462,75 @@ class TestWorkLimits:
         assert exc.value.code == 2
         assert time.perf_counter() - start < 1
         assert "MAX_SWEEP_TUPLES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-r", "1000000"], ["--max-r", "100000"], ["--max-sum", "1" + "0" * 1500]],
+        ids=["max-r-1e6", "max-r-1e5", "max-sum-1501-digits"],
+    )
+    def test_the_sweep_limit_stops_at_its_own_estimate(self, flags, capsys):
+        # the count of admitted tuples is built one factor at a time and
+        # stops once it passes the limit, so it is never a huge number
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "table", *flags])
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "more than 70,000 tuples" in err and "MAX_SWEEP_TUPLES = 70,000" in err
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--ks", "1" + "0" * 5000],
+            ["integral", "--ks", "1,1" + "0" * 5000, "--method", "oracle"],
+            ["bench", "--ks", "1" + "0" * 5000],
+            ["poly", "--ks", "2,1" + "0" * 5000],
+            ["bernoulli", "number", "1" + "0" * 5000],
+            ["bernoulli", "poly", "1" + "0" * 5000],
+        ],
+        ids=["integral", "integral-last", "bench", "poly", "bernoulli-number",
+             "bernoulli-poly"],
+    )
+    def test_a_long_index_is_refused_before_conversion(self, argv, capsys):
+        # an index of five or more significant digits is above MAX_INDEX_SUM
+        # on its own; Python would refuse to convert its 5,001 digits anyway
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "an index of 5,001 digits is above the limit MAX_INDEX_SUM = 1,000" in err
+        assert len(err) < 300
+
+    def test_padded_indices_run(self, capsys):
+        assert cli.main(["integral", "--ks", "0" * 5000 + "2,1", "--upper", "2"]) == 0
+        assert cli.main(["bernoulli", "number", "0" * 5000 + "1"]) == 0
+        assert capsys.readouterr().out == f"{oracle_integral((2, 1), 2)}\n-1/2\n"
+
+    def test_a_deep_recurrence_is_read_past_the_heads(self, capsys):
+        # every depth above k_1 + ... + k_(r-1) gives the same value and work,
+        # so a depth of thousands of digits runs as MAX_INDEX_SUM + 1
+        start = time.perf_counter()
+        for depth in ("9" * 5000, "0" * 5000 + "1001", "3"):
+            argv = ["integral", "--ks", "1,2", "--upper", "1/2", "--method", f"recurrence:{depth}"]
+            assert cli.main(argv) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == f"{oracle_integral((1, 2), F(1, 2))}\n" * 3
+
+    @pytest.mark.parametrize("flag", ["--max-sum", "--max-r", "--reps"])
+    def test_integer_flag_errors_give_a_digit_count(self, flag, capsys):
+        command = ["bench", "--ks", "1,1"] if flag == "--reps" else ["verify", "--suite", "table"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, flag, "1" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "5,000 digits are more than the 4,300" in err and len(err) < 300
+        # leading zeros are not digits of the value
+        args = cli.build_parser().parse_args([*command, flag, "0" * 5000 + "3"])
+        assert vars(args)[flag[2:].replace("-", "_")] == 3
 
 
 # what a cold `bernint integral` and `import bernint` must not import

@@ -454,6 +454,10 @@ class TestInputContract:
             norlund_value(*ks)
         with pytest.raises(ValueError, match="nonnegative ints"):
             three_factor_at_one(*ks, 2)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            two_factor_formula(*ks)
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            three_factor_formula(*ks, 2)
 
     @pytest.mark.parametrize("mu", [True, 1.5], ids=["bool", "float"])
     def test_mu_must_be_an_int(self, mu):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from bernint import closed_form_integral, kernels, multinomial, oracle_integral_poly
 from bernint.bernoulli import DEFAULT_CACHE
 from bernint.integrals import _scaled_tables
+from bernint.verify import SWEEP_UPPERS
 
 F = Fraction
 
@@ -54,6 +55,15 @@ def test_closed_form_sum_matches_box_walk():
         ks = tuple(rng.randint(0, 5) for _ in range(r))
         upper = F(rng.randint(-4, 4), rng.randint(1, 5))
         assert_matches_box_walk(ks, upper)
+
+
+def test_closed_form_sum_matches_box_walk_at_two_and_three_factors():
+    # two_factor_formula and three_factor_formula are this kernel at r = 2
+    # and 3, so every such tuple with entries <= 4 is walked cell by cell
+    for r in (2, 3):
+        for ks in itertools.product(range(5), repeat=r):
+            for upper in SWEEP_UPPERS:
+                assert_matches_box_walk(ks, upper)
 
 
 def test_closed_form_sum_matches_box_walk_on_heavy_shapes():
