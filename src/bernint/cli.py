@@ -47,12 +47,14 @@ __all__ = ["format_rational", "main", "parse_index_list", "parse_rational"]
 # Work bounds for one command, checked before the work starts; the library
 # itself is unbounded.  Times are from Python 3.11 on 2 x86-64 vCPUs.
 # - MAX_INDEX_SUM bounds k_1 + ... + k_r for `integral`, `poly` and `bench`,
-#   and k for `bernoulli`: at 1,000, one index takes 0.6 s and five equal
-#   ones 6.5 s by the closed form, cold; two large heads before a small last
-#   index, as in (500,499,1), take 5 s at upper 1 and 13 s at 1/5.
+#   and k for `bernoulli`: at 1,000, by the closed form, cold, one index or
+#   (500,499,1) takes 0.3-0.4 s at upper 1 or 1/5.  The closed form takes
+#   the largest index last, so equal indices are slowest: (200,)*5 takes
+#   1.9 s at upper 1 and 4.3 s at 1/5.
 # - MAX_POLY_PRODUCTS bounds the d^2 k_r/2 + d^3/6 coefficient products of
-#   `poly --method closed`, d = k_1 + ... + k_(r-1): (30,)*8 costs 2.2
-#   million and takes 0.7 s.
+#   `poly --method closed` in the order it evaluates, largest index last:
+#   k_r = max(ks) and d = sum(ks) - k_r.  (30,)*8 costs 2.2 million and
+#   takes 0.6 s.
 # - MAX_RECURRENCE_WORK bounds the box cells `recurrence:<mu>` visits, one
 #   per boundary term and per residual integral, times (index sum + 1)^2:
 #   the slowest input found inside it, (1,)*20 at mu = 5, takes 3 s.
@@ -60,7 +62,7 @@ __all__ = ["format_rational", "main", "parse_index_list", "parse_rational"]
 #   upper p/q in `integral` and `bench`; the value has about that many bits,
 #   twice as many for p = 1.  (100,) at 1/10^45 comes to 15,251 and runs in
 #   3 ms.  At index sum 1,000 the limit leaves the upper 15 bits, where
-#   (500,499,1) takes 26 s.
+#   (200,)*5 takes 10.5 s at 1/16383.
 # - MAX_SWEEP_TUPLES bounds `verify` by C(S + R + 1, R) - 1, the tuples of at
 #   most R = max(max_r, 4) parts with sum at most S = max(max_sum, 4 max_r),
 #   which hold every tuple any suite walks.  The slowest suite inside it,
@@ -269,7 +271,8 @@ def _cmd_integral(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     ks = parse_index_list(args.ks)
     _check_index_sum(ks)
-    d, kr = sum(ks[:-1]), ks[-1]
+    kr = max(ks)  # closed_form_integral_poly evaluates the largest index last
+    d = sum(ks) - kr
     products = d * d * kr // 2 + d**3 // 6
     if args.method == "closed" and products > MAX_POLY_PRODUCTS:
         raise _UsageError(

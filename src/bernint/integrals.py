@@ -88,8 +88,8 @@ _TABLE_LOCK = threading.Lock()
 # upper -> (xnum, xden), lists with xnum[k]/xden[k] = B_k(upper)/k!, grown in
 # place by `_grown`.  Unbounded on purpose: a caller that cycles through many
 # uppers (the bigk benchmark's 1,020) would turn every hit into a rebuild under
-# any LRU smaller than its cycle; there a request takes a median 1.4 ms with
-# its table cached and 8.2 ms with a rebuild (Python 3.11, 2 x86-64 vCPUs)
+# any LRU smaller than its cycle; there a request takes a median 0.28 ms with
+# its table cached and 3.4 ms with a rebuild (Python 3.11, 2 x86-64 vCPUs)
 _tables_at: dict[Fraction, tuple[list[int], list[int]]] = {}
 # onum[k]/oden[k] = B_k/k!, the table at 0, grown the same way
 _zero_table: tuple[list[int], list[int]] = ([], [])
@@ -268,13 +268,29 @@ def closed_form_integral(
     empty and the sum degenerates to (B_{k+1}(x) - B_{k+1})/(k+1)!.
     `kernels.closed_form_sum` evaluates the sum without walking the box, as
     a product of one integer polynomial per head index k_1, ..., k_{r-1}.
+    The integrand is symmetric in the indices, so the sum is taken over the
+    ascending tuple: the largest index is k_r and the head product has the
+    least degree, d = k_1 + ... + k_r - max(ks).
     Unbounded: the table at `upper` grows to k_1 + ... + k_r + 1 entries and
-    the head products to degree k_1 + ... + k_{r-1}.  At index sum 1,000,
-    cold, on one x86-64 core: 0.6 s for r = 1 and 6.5 s for five equal
-    indices; large heads before a small last index are slowest, (500,499,1)
-    taking 5 s at upper 1 and 13 s at 1/5.
+    the head product to degree d.  At index sum 1,000, cold, on one x86-64
+    core: 0.3 s for r = 1 and for (500,499,1) at upper 1, 0.4 s at 1/5;
+    equal indices are slowest, (200,)*5 (d = 800) taking 1.9 s at upper 1
+    and 4.3 s at 1/5.
     """
-    ks = _check_indices(ks)
+    return _closed_form_in_order(tuple(sorted(_check_indices(ks))), upper, scaled, cache)
+
+
+def _closed_form_in_order(
+    ks: tuple[int, ...],
+    upper: Scalar,
+    scaled: bool = False,
+    cache: BernoulliCache | None = None,
+) -> Fraction:
+    """`closed_form_integral` with the indices taken in the given order.
+
+    Each order is a different sum of boundary terms with the same value;
+    the symmetry checks compare them.  `ks` must hold nonnegative ints.
+    """
     upper = _check_upper(upper)
     cache = cache or DEFAULT_CACHE
     num, den = kernels.closed_form_sum(ks, *_scaled_tables(upper, sum(ks) + 1, cache))
@@ -299,11 +315,12 @@ def closed_form_integral_poly(
     half of every boundary term.
     For r = 1, Q = 1.  Coefficient-wise equal to `oracle_integral_poly`,
     which multiplies all r polynomials and integrates term by term instead.
+    Like `closed_form_integral` it takes the indices in ascending order.
     Unbounded: about d^2 k_r/2 + d^3/6 coefficient products with
-    d = deg Q = k_1 + ... + k_{r-1}, cubic in d ((30,)*8: 0.7 s; (60,)*12:
-    about 50 s).
+    d = deg Q = k_1 + ... + k_r - max(ks), cubic in d ((30,)*8: 0.6 s;
+    (60,)*12: about 70 s; (5,300,5), d = 10: 0.05 s).
     """
-    ks = _check_indices(ks)
+    ks = tuple(sorted(_check_indices(ks)))
     cache = cache or DEFAULT_CACHE
     *heads, kr = ks
     q = Polynomial([1])

@@ -346,6 +346,19 @@ class TestWorkLimits:
         assert "MAX_POLY_PRODUCTS = 69" in capsys.readouterr().err
         assert cli.main(["poly", "--ks", "2,3,4", "--method", "oracle"]) == 0
 
+    def test_poly_closed_limit_takes_the_largest_index_last(self, capsys):
+        # (5, 300, 5) is evaluated as (5, 5, 300): d = 10 costs 15,166 products,
+        # where d = 305 in the given order would cost about 5 million
+        assert cli.main(["poly", "--ks", "5,300,5", "--method", "closed"]) == 0
+        closed = capsys.readouterr().out
+        assert cli.main(["poly", "--ks", "5,300,5", "--method", "oracle"]) == 0
+        assert closed == capsys.readouterr().out
+        for ks in ("150,150,150", "500,500"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["poly", "--ks", ks, "--method", "closed"])
+            assert exc.value.code == 2
+            assert "MAX_POLY_PRODUCTS" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["integral", "bench"])
     def test_recurrence_limit(self, monkeypatch, capsys, command):
         # (2, 1, 1) at mu = 2 visits the cells i <= (2, 1) with i_1 + i_2 <= 2:

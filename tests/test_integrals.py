@@ -33,7 +33,7 @@ from bernint import (
     three_factor_formula,
     two_factor_formula,
 )
-from bernint import exact, integrals
+from bernint import exact, integrals, kernels
 from bernint.bernoulli import Polynomial
 
 F = Fraction
@@ -165,6 +165,30 @@ class TestClosedForm:
         for r in (1, 2, 3):
             for ks in itertools.product(range(3), repeat=r):
                 assert closed_form_integral_poly(ks) == oracle_integral_poly(ks), ks
+
+    def test_poly_form_of_each_order(self):
+        for perm in itertools.permutations((5, 0, 3)):
+            assert closed_form_integral_poly(perm) == oracle_integral_poly(perm), perm
+
+    def test_kernel_takes_the_indices_ascending(self, monkeypatch):
+        seen = []
+        kernel = kernels.closed_form_sum
+
+        def spy(ks, *tables):
+            seen.append(ks)
+            return kernel(ks, *tables)
+
+        monkeypatch.setattr(kernels, "closed_form_sum", spy)
+        shapes = [(5, 0, 3), (9, 1), (2, 2, 1), (0, 7, 0, 4), (3,)]
+        for ks in shapes:
+            assert closed_form_integral(ks, F(2, 3)) == oracle_integral(ks, F(2, 3)), ks
+        assert seen == [tuple(sorted(ks)) for ks in shapes]
+        # the symmetry checks rely on the in-order evaluation keeping the order
+        seen.clear()
+        assert integrals._closed_form_in_order((5, 0, 3), F(2, 3)) == oracle_integral(
+            (5, 0, 3), F(2, 3)
+        )
+        assert seen == [(5, 0, 3)]
 
 
 class TestRecurrence:
@@ -423,8 +447,9 @@ class TestPermutationSymmetry:
         for base in [(1, 2), (0, 3, 1), (2, 2, 1, 0), (1, 2, 3)]:
             for upper in (F(1), F(2, 3)):
                 want = closed_form_integral(base, upper)
+                # closed_form_integral sorts its indices; evaluate each order as given
                 for perm in set(itertools.permutations(base)):
-                    assert closed_form_integral(perm, upper) == want, (perm, upper)
+                    assert integrals._closed_form_in_order(perm, upper) == want, (perm, upper)
 
 
 class TestInputContract:
@@ -475,6 +500,11 @@ class TestInputContract:
 index_tuples = st.lists(st.integers(0, 12), min_size=1, max_size=6).map(tuple)
 long_index_tuples = st.lists(st.integers(0, 10), min_size=1, max_size=8).map(tuple)
 rational_uppers = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+# a zero, a small, a large and up to two more indices: every order of such a
+# tuple is a different head product for the in-order closed form
+spread_with_zero = st.tuples(
+    st.integers(1, 3), st.integers(10, 24), st.lists(st.integers(0, 12), max_size=2)
+).map(lambda t: (0, t[0], t[1], *t[2]))
 table_uppers = st.one_of(
     st.sampled_from([F(0), F(1), F(-1), F(2), F(-3)]),
     st.builds(F, st.integers(-80, 80), st.integers(1, 40)),
@@ -510,7 +540,14 @@ class TestProperties:
     )
     def test_permutation_symmetry(self, ks_and_perm, upper):
         ks, perm = ks_and_perm
-        assert closed_form_integral(tuple(perm), upper) == closed_form_integral(ks, upper)
+        want = closed_form_integral(ks, upper)
+        assert integrals._closed_form_in_order(tuple(perm), upper) == want
+
+    @bounded
+    @given(spread_with_zero.flatmap(st.permutations), rational_uppers)
+    def test_in_order_equals_oracle_on_spread_shapes(self, perm, upper):
+        perm = tuple(perm)
+        assert integrals._closed_form_in_order(perm, upper) == oracle_integral(perm, upper)
 
     @bounded
     @given(table_uppers, st.integers(0, 80))
