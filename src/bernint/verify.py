@@ -9,10 +9,12 @@ equalities.  The suites are the library-level counterpart of the CLI's
   expansion of the generating function as an independent construction.
 * oracle     -- closed form against brute-force expansion, at several upper
   limits including points outside [0, 1], and the two-, three- and
-  four-factor formulas over [0, 1].
+  four-factor formulas over [0, 1].  The closed form is evaluated once per
+  index multiset and upper and checked against the oracle of every order.
 * symmetry   -- invariance of the closed form under permutations of the
   index tuple.
-* parity     -- vanishing over [0, 1] for odd index sums.
+* parity     -- vanishing over [0, 1] for odd index sums, the closed form
+  once per index multiset and the oracle of every order.
 * mu         -- independence of the reduction depth in `recurrence_integral`,
   and emptiness of the residual sum at the maximal depth.
 * table      -- golden Bernoulli-number expressions for small four-factor
@@ -221,6 +223,27 @@ def verify_identities(
 # ---------------------------------------------------------------------------
 
 
+def _formula_mismatch(
+    ks: tuple[int, ...], expected: Fraction, cache: BernoulliCache | None
+) -> str | None:
+    """Name the formula over [0, 1] for len(ks) factors that disagrees with `expected`.
+
+    two_factor_formula and three_factor_formula are the closed form itself;
+    the r = 2 and 3 formulas here are other sums.
+    """
+    r = len(ks)
+    if r == 2 and min(ks) >= 1 and norlund_value(*ks, cache) != expected:
+        return "norlund_value"
+    if r == 3 and min(ks) >= 1 and three_factor_at_one(*ks, cache=cache) != expected:
+        return "three_factor_at_one"
+    if r == 4 and four_factor_at_one(*ks, cache=cache) != expected:
+        return "four_factor_at_one"
+    if r == 4 and sum(ks) % 2 == 0:
+        if four_factor_even_sum(ks, cache) * _factorial_product(ks) != expected:
+            return "four_factor_even_sum"
+    return None
+
+
 def verify_oracle(
     max_sum: int = 12,
     max_r: int = 4,
@@ -228,30 +251,33 @@ def verify_oracle(
     r_values: Sequence[int] | None = None,
     cache: BernoulliCache | None = None,
 ) -> VerificationReport:
-    """Closed form and the formulas over [0, 1] against brute-force expansion."""
+    """Closed form and the formulas over [0, 1] against brute-force expansion.
+
+    The closed form is symmetric in its indices and sorts them, so it is
+    evaluated once per index multiset and upper, and that value is checked
+    against the oracle of every order, each built in its own order.  The
+    formulas over [0, 1] are not symmetric and run on every order.  A
+    failure's `got` is the closed form's value, or the name of the formula
+    that disagreed.
+    """
     report = VerificationReport("oracle")
     start = time.perf_counter()
     rs = tuple(r_values) if r_values is not None else tuple(range(1, max_r + 1))
+    closed: dict[tuple[tuple[int, ...], Fraction], Fraction] = {}
 
     for r in rs:
         for ks in _tuples_with_sum_at_most(r, max_sum, max_entry):
             anti = oracle_integral_poly(ks, cache)
-            scale = _factorial_product(ks)
+            base = tuple(sorted(ks))
             for upper in SWEEP_UPPERS:
                 expected = anti(upper)
-                ok = closed_form_integral(ks, upper, cache=cache) == expected
-                # two_factor_formula and three_factor_formula are the closed form
-                # itself; the r = 2 and 3 formulas below are other sums
-                if ok and r == 2 and upper == 1 and min(ks) >= 1:
-                    ok = norlund_value(ks[0], ks[1], cache) == expected
-                if ok and r == 3 and upper == 1 and min(ks) >= 1:
-                    ok = three_factor_at_one(*ks, cache=cache) == expected
-                if ok and r == 4 and upper == 1:
-                    ok = four_factor_at_one(*ks, cache=cache) == expected
-                    if ok and sum(ks) % 2 == 0:
-                        ok = four_factor_even_sum(ks, cache) * scale == expected
+                if (base, upper) not in closed:
+                    closed[base, upper] = closed_form_integral(base, upper, cache=cache)
+                got = closed[base, upper]
+                if got == expected and upper == 1:
+                    got = _formula_mismatch(ks, expected, cache) or got
                 report.check(
-                    ok, ks=list(ks), upper=upper, expected=expected, got="formula mismatch"
+                    got == expected, ks=list(ks), upper=upper, expected=expected, got=got
                 )
     report.notes.append(
         f"r in {rs}, entries <= {max_entry}, index sum <= {max_sum}, "
@@ -305,15 +331,23 @@ def verify_symmetry(
 def verify_parity(
     max_sum: int = 11, max_r: int = 5, cache: BernoulliCache | None = None
 ) -> VerificationReport:
-    """Integral over [0, 1] vanishes whenever the index sum is odd."""
+    """Integral over [0, 1] vanishes whenever the index sum is odd.
+
+    The closed form is evaluated once per index multiset and checked with
+    the oracle of every order, each built in its own order.  A failure's
+    `got` is the oracle's value if it is not 0, else the closed form's.
+    """
     report = VerificationReport("parity")
     start = time.perf_counter()
+    closed: dict[tuple[int, ...], Fraction] = {}
     for r in range(1, max_r + 1):
         for total in range(1, max_sum + 1, 2):
             for ks in compositions(total, (total,) * r):
-                anti = oracle_integral_poly(ks, cache)
-                ok = anti(1) == 0 and closed_form_integral(ks, cache=cache) == 0
-                report.check(ok, ks=list(ks), upper=1, expected=0, got=anti(1))
+                base = tuple(sorted(ks))
+                if base not in closed:
+                    closed[base] = closed_form_integral(base, cache=cache)
+                got = oracle_integral_poly(ks, cache)(1) or closed[base]
+                report.check(got == 0, ks=list(ks), upper=1, expected=0, got=got)
     report.elapsed_s = time.perf_counter() - start
     return report
 

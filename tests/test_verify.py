@@ -182,9 +182,10 @@ BROKEN_ROUTES = {
                           Polynomial([0, 0, 0, 1])),
         {"identity": "derivative", "k": 3},
     ),
+    # the closed form's wrong value is what the report shows
     "oracle": (
         lambda mp: off_by(mp, "closed_form_integral", lambda ks, *_, **__: ks == (1, 2)),
-        {"ks": [1, 2], "upper": "1"},
+        {"ks": [1, 2], "upper": "1", "got": "1"},
     ),
     # asymmetric: the in-order evaluation of (2, 1) is wrong and the public
     # value of its sorted base (1, 2) is not
@@ -220,3 +221,59 @@ def test_every_suite_can_fail(monkeypatch, suite):
     assert report.ok is False
     assert report.first_failure is not None
     assert report.first_failure.items() >= named.items(), report.first_failure
+
+
+def spy_closed_form(monkeypatch):
+    """Record the index tuple of every `verify.closed_form_integral` call."""
+    calls = []
+    right = verify.closed_form_integral
+
+    def spy(ks, *args, **kwargs):
+        calls.append(ks)
+        return right(ks, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "closed_form_integral", spy)
+    return calls
+
+
+def test_oracle_evaluates_the_closed_form_once_per_multiset_and_upper(monkeypatch):
+    calls = spy_closed_form(monkeypatch)
+    report = verify_oracle(max_sum=6, max_r=3)
+    check_report(report, "oracle")
+    assert report.attempted == 476  # every order at every upper is still an instance
+    assert len(calls) == 46 * 4  # 7 + 16 + 23 multisets, 4 uppers
+    assert all(list(ks) == sorted(ks) for ks in calls)
+
+
+def test_parity_evaluates_the_closed_form_once_per_multiset(monkeypatch):
+    calls = spy_closed_form(monkeypatch)
+    report = verify_parity(max_sum=7, max_r=4)
+    check_report(report, "parity")
+    multisets = {
+        tuple(sorted(ks))
+        for r in range(1, 5)
+        for ks in itertools.product(range(8), repeat=r)
+        if sum(ks) <= 7 and sum(ks) % 2
+    }
+    assert sorted(calls) == sorted(multisets)
+
+
+@pytest.mark.parametrize("suite", [verify_oracle, verify_parity])
+def test_each_order_reaches_its_own_oracle(monkeypatch, suite):
+    # the oracle is wrong on the descending order only: a suite that built
+    # it once per multiset, from (1, 2), would pass
+    off_by(monkeypatch, "oracle_integral_poly", lambda ks, *_: ks == (2, 1), Polynomial([1]))
+    report = suite(max_sum=3, max_r=3)
+    assert not report.ok
+    assert report.first_failure["ks"] == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["norlund_value", "three_factor_at_one", "four_factor_at_one", "four_factor_even_sum"],
+)
+def test_oracle_names_the_formula_that_disagrees(monkeypatch, formula):
+    off_by(monkeypatch, formula, lambda *_, **__: True)
+    report = verify_oracle(max_sum=4, max_r=4)
+    assert not report.ok
+    assert report.first_failure["got"] == formula
