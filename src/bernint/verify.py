@@ -228,8 +228,9 @@ def _formula_mismatch(
 ) -> str | None:
     """Name the formula over [0, 1] for len(ks) factors that disagrees with `expected`.
 
-    two_factor_formula and three_factor_formula are the closed form itself;
-    the r = 2 and 3 formulas here are other sums.
+    None when every formula that applies agrees.  two_factor_formula and
+    three_factor_formula are the closed form itself; the r = 2 and 3
+    formulas here are other sums.
     """
     r = len(ks)
     if r == 2 and min(ks) >= 1 and norlund_value(*ks, cache) != expected:
@@ -256,9 +257,9 @@ def verify_oracle(
     The closed form is symmetric in its indices and sorts them, so it is
     evaluated once per index multiset and upper, and that value is checked
     against the oracle of every order, each built in its own order.  The
-    formulas over [0, 1] are not symmetric and run on every order.  A
-    failure's `got` is the closed form's value, or the name of the formula
-    that disagreed.
+    formulas over [0, 1] are sums in the given order, so they run on every
+    order.  A failure's `got` is the closed form's value, or the name of the
+    formula that disagreed.
     """
     report = VerificationReport("oracle")
     start = time.perf_counter()
