@@ -226,8 +226,11 @@ class BernoulliCache:
     a reader sees the old list or the new one and existing entries never
     change; growth is serialized by an internal lock.  The cache also keeps
     the last `_POLYNOMIAL_MEMO` polynomials `bernoulli_polynomial` built
-    from it.  One shared instance (`DEFAULT_CACHE`) backs the whole package
-    by default.
+    from it, and the oracle memoizes its antiderivatives per cache.  That is
+    all a cache scopes: the value tables behind the closed form and the
+    specialized formulas are process-wide and grow from the numbers of the
+    shared instance `DEFAULT_CACHE`, which also serves every call that
+    passes no cache.
     """
 
     def __init__(self) -> None:

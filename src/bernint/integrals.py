@@ -24,6 +24,13 @@ integers over one common denominator, sum in ints and reduce once per
 result.  Everything is exact: index tuples hold nonnegative ints, upper
 limits are ints or Fractions (a float or a bool is rejected with
 ValueError), and results are Fractions.
+
+The value tables are process-wide and grow from the Bernoulli numbers of
+`DEFAULT_CACHE`, so the closed form, `c_term` and the specialized formulas
+take no cache.  A `BernoulliCache` passed to the oracle,
+`closed_form_integral_poly` or `recurrence_integral` scopes the Bernoulli
+polynomials they build from its own Bernoulli numbers and the oracle's
+memoized antiderivatives, and nothing else.
 """
 
 from __future__ import annotations
@@ -163,6 +170,8 @@ def _scaled_tables(
     Each table is grown by `_grown` from one integer Taylor shift of B_N
     (`_taylor_table` gives the format), so no polynomial is built or
     evaluated per entry.  At upper 0 both tables are the zero table.
+    `cache` supplies the Bernoulli numbers a growth reads; the package
+    passes `DEFAULT_CACHE`, so every table grows from one number store.
     """
     zero = _grown(_zero_table, Fraction(0), n, cache)
     if not upper:
@@ -174,14 +183,13 @@ def _scaled_tables(
     return (*_grown(table, upper, n, cache), *zero)
 
 
-def _integer_table(
-    nums: Sequence[int], dens: Sequence[int], n: int
-) -> tuple[list[int], int]:
-    """Entries 0..n of a value table as (ints, D): ints[k]/D = nums[k]/dens[k].
+def _zero_ints(n: int) -> tuple[list[int], int]:
+    """Entries 0..n of the table at 0 as (ints, D): ints[k]/D = B_k/k!.
 
     D = dens[n] is a multiple of dens[0..n], so a product of j entries is an
     integer over D^j and a sum of such products needs no reduction.
     """
+    nums, dens = _grown(_zero_table, Fraction(0), n, DEFAULT_CACHE)
     return [num * (dens[n] // d) for num, d in zip(nums[: n + 1], dens[: n + 1])], dens[n]
 
 
@@ -233,17 +241,11 @@ def oracle_integral(
 # ---------------------------------------------------------------------------
 
 
-def c_term(
-    ks: Sequence[int],
-    upper: Scalar = Fraction(1),
-    scaled: bool = False,
-    cache: BernoulliCache | None = None,
-) -> Fraction:
+def c_term(ks: Sequence[int], upper: Scalar = Fraction(1), scaled: bool = False) -> Fraction:
     """Boundary term C (or C~ when scaled) for the given index tuple."""
     ks = _check_indices(ks)
     upper = _check_upper(upper)
-    cache = cache or DEFAULT_CACHE
-    xnum, xden, onum, oden = _scaled_tables(upper, max(ks), cache)
+    xnum, xden, onum, oden = _scaled_tables(upper, max(ks), DEFAULT_CACHE)
     # the products at x and at 0, as xn/xd and on/od
     xn, xd = math.prod(xnum[k] for k in ks), math.prod(xden[k] for k in ks)
     on, od = math.prod(onum[k] for k in ks), math.prod(oden[k] for k in ks)
@@ -252,10 +254,7 @@ def c_term(
 
 
 def closed_form_integral(
-    ks: Sequence[int],
-    upper: Scalar = Fraction(1),
-    scaled: bool = False,
-    cache: BernoulliCache | None = None,
+    ks: Sequence[int], upper: Scalar = Fraction(1), scaled: bool = False
 ) -> Fraction:
     """Closed-form value of the integral from 0 to `upper`.
 
@@ -277,23 +276,17 @@ def closed_form_integral(
     equal indices are slowest, (200,)*5 (d = 800) taking 1.9 s at upper 1
     and 4.3 s at 1/5.
     """
-    return _closed_form_in_order(tuple(sorted(_check_indices(ks))), upper, scaled, cache)
+    return _closed_form_in_order(tuple(sorted(_check_indices(ks))), upper, scaled)
 
 
-def _closed_form_in_order(
-    ks: tuple[int, ...],
-    upper: Scalar,
-    scaled: bool = False,
-    cache: BernoulliCache | None = None,
-) -> Fraction:
+def _closed_form_in_order(ks: tuple[int, ...], upper: Scalar, scaled: bool = False) -> Fraction:
     """`closed_form_integral` with the indices taken in the given order.
 
     Each order is a different sum of boundary terms with the same value;
     the symmetry checks compare them.  `ks` must hold nonnegative ints.
     """
     upper = _check_upper(upper)
-    cache = cache or DEFAULT_CACHE
-    num, den = kernels.closed_form_sum(ks, *_scaled_tables(upper, sum(ks) + 1, cache))
+    num, den = kernels.closed_form_sum(ks, *_scaled_tables(upper, sum(ks) + 1, DEFAULT_CACHE))
     scale = 1 if scaled else _factorial_product(ks)
     return Fraction(num * scale, den)
 
@@ -392,7 +385,7 @@ def recurrence_integral(
     for a in range(min(mu, sum(heads) + 1)):  # no composition of a larger a fits
         sign = -1 if a & 1 else 1
         for idx, w in _reduced_heads(heads, a):
-            acc += sign * w * c_term(idx + (kr + a + 1,), upper, scaled=True, cache=cache)
+            acc += sign * w * c_term(idx + (kr + a + 1,), upper, scaled=True)
 
     sign = -1 if mu & 1 else 1
     for idx, w in _reduced_heads(heads, mu):
@@ -407,12 +400,7 @@ def recurrence_integral(
 # ---------------------------------------------------------------------------
 
 
-def two_factor_formula(
-    k: int,
-    m: int,
-    upper: Scalar = Fraction(1),
-    cache: BernoulliCache | None = None,
-) -> Fraction:
+def two_factor_formula(k: int, m: int, upper: Scalar = Fraction(1)) -> Fraction:
     """I_{k,m}(x) as the single alternating sum over boundary pairs.
 
         I_{k,m}(x) = k! m! sum_{j=0}^{k} (-1)^j C~_{k-j, m+j+1}(x)
@@ -421,10 +409,10 @@ def two_factor_formula(
     where every multinomial weight is 1, so `closed_form_integral`
     evaluates it.
     """
-    return closed_form_integral((k, m), upper, cache=cache)
+    return closed_form_integral((k, m), upper)
 
 
-def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fraction:
+def norlund_value(k: int, l: int) -> Fraction:
     """The classical value of the two-factor integral over [0, 1].
 
     (-1)^(k-1) * k! l! / (k+l)! * B_{k+l}, valid for k, l >= 1.
@@ -432,19 +420,12 @@ def norlund_value(k: int, l: int, cache: BernoulliCache | None = None) -> Fracti
     k, l = _check_indices((k, l))
     if k < 1 or l < 1:
         raise ValueError(f"both indices must be >= 1 (got k={k}, l={l})")
-    cache = cache or DEFAULT_CACHE
     value = Fraction(math.factorial(k) * math.factorial(l), math.factorial(k + l))
-    value *= cache.number(k + l)
+    value *= DEFAULT_CACHE.number(k + l)
     return -value if k % 2 == 0 else value
 
 
-def three_factor_formula(
-    n: int,
-    m: int,
-    k: int,
-    upper: Scalar = Fraction(1),
-    cache: BernoulliCache | None = None,
-) -> Fraction:
+def three_factor_formula(n: int, m: int, k: int, upper: Scalar = Fraction(1)) -> Fraction:
     """I_{n,m,k}(x) as the double binomial sum over boundary triples.
 
         I_{n,m,k}(x) = n! m! k! sum_{a=0}^{n+m} (-1)^a sum_i C(a, i) C~_{n-a+i, m-i, k+a+1}(x)
@@ -454,21 +435,17 @@ def three_factor_formula(
     multinomial(a; (a - i, i)) = C(a, i), so `closed_form_integral`
     evaluates it.
     """
-    return closed_form_integral((n, m, k), upper, cache=cache)
+    return closed_form_integral((n, m, k), upper)
 
 
-def three_factor_at_one(
-    k: int, l: int, m: int, cache: BernoulliCache | None = None
-) -> Fraction:
+def three_factor_at_one(k: int, l: int, m: int) -> Fraction:
     """I_{k,l,m}(1) for k, l, m >= 1; zero when k+l+m is odd."""
     k, l, m = _check_indices((k, l, m))
     if k < 1 or l < 1 or m < 1:
         raise ValueError(f"all indices must be >= 1 (got {(k, l, m)})")
     if (k + l + m) % 2:
         return Fraction(0)
-    cache = cache or DEFAULT_CACHE
-    top = k + l + m
-    o, lo = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
+    o, lo = _zero_ints(k + l + m)
     acc = 0  # over lo^2
     for a in range(k + l):  # a = k + l would read B~_{-1} = 0
         w = binomial(a, l - 1) + binomial(a, k - 1)
@@ -479,9 +456,7 @@ def three_factor_at_one(
     return Fraction(sign * _factorial_product((k, l, m)) * acc, lo**2)
 
 
-def four_factor_even_sum(
-    ks: Sequence[int], cache: BernoulliCache | None = None
-) -> Fraction:
+def four_factor_even_sum(ks: Sequence[int]) -> Fraction:
     """Scaled I~_{k_1,k_2,k_3,k_4}(1) via the symmetrized triple sum.
 
     This is the intermediate form obtained by evaluating the boundary terms
@@ -493,7 +468,7 @@ def four_factor_even_sum(
         raise ValueError(f"need exactly four indices (got {len(ks)})")
     if sum(ks) % 2:
         raise ValueError(f"index sum must be even (got {ks}); the odd case is 0")
-    sums, den = _triple_class_sums(ks, cache or DEFAULT_CACHE)
+    sums, den = _triple_class_sums(ks)
     return Fraction(sum(sums.values()), den)
 
 
@@ -502,9 +477,7 @@ def four_factor_even_sum(
 _TRIPLE_CLASSES = {(1, 0, 0): "A", (0, 1, 0): "B", (0, 0, 1): "C", (1, 1, 1): "D"}
 
 
-def _triple_class_sums(
-    ks: tuple[int, int, int, int], cache: BernoulliCache
-) -> tuple[dict[str, int], int]:
+def _triple_class_sums(ks: tuple[int, int, int, int]) -> tuple[dict[str, int], int]:
     """Cells of the symmetrized triple sum, for an even index sum, by parity class.
 
     The cell (i_1, i_2, i_3) of the box i_j <= k_j is
@@ -518,8 +491,7 @@ def _triple_class_sums(
     over D^4; returns (sums, D^4).
     """
     k1, k2, k3, k4 = ks
-    top = k1 + k2 + k3 + k4 + 1
-    table, den = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
+    table, den = _zero_ints(k1 + k2 + k3 + k4 + 1)
     out = dict.fromkeys(("A", "B", "C", "D", "boundary"), 0)
     for i1 in range(k1 + 1):
         b1 = table[k1 - i1]
@@ -547,7 +519,7 @@ def _triple_class_sums(
 
 
 def _four_factor_case_sums(
-    ks: tuple[int, int, int, int], cache: BernoulliCache, corrected: bool = False
+    ks: tuple[int, int, int, int], corrected: bool = False
 ) -> tuple[dict[str, int], int]:
     """The parity-case terms A-D of the four-factor formula, evaluated separately.
 
@@ -560,8 +532,7 @@ def _four_factor_case_sums(
     integers over E^3 and D over 2 E; returns (terms, 2 E^3).
     """
     k1, k2, k3, k4 = ks
-    top = k1 + k2 + k3 + k4 + 1
-    table, den = _integer_table(*_grown(_zero_table, Fraction(0), top, cache), top)
+    table, den = _zero_ints(k1 + k2 + k3 + k4 + 1)
     replace_a0 = corrected and k4 == 0
 
     def case_sum(lead: int, pair_hi: int, other: int) -> int:
@@ -603,12 +574,7 @@ def _four_factor_case_sums(
 
 
 def four_factor_at_one(
-    k1: int,
-    k2: int,
-    k3: int,
-    k4: int,
-    variant: str = "corrected",
-    cache: BernoulliCache | None = None,
+    k1: int, k2: int, k3: int, k4: int, variant: str = "corrected"
 ) -> Fraction:
     """I_{k1,k2,k3,k4}(1) by the parity-case formula; zero for odd index sums.
 
@@ -635,5 +601,5 @@ def four_factor_at_one(
     ks = _check_indices((k1, k2, k3, k4))
     if sum(ks) % 2:
         return Fraction(0)
-    sums, den = _four_factor_case_sums(ks, cache or DEFAULT_CACHE, variant == "corrected")
+    sums, den = _four_factor_case_sums(ks, variant == "corrected")
     return Fraction(sum(sums.values()) * _factorial_product(ks), den)

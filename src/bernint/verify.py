@@ -223,9 +223,7 @@ def verify_identities(
 # ---------------------------------------------------------------------------
 
 
-def _formula_mismatch(
-    ks: tuple[int, ...], expected: Fraction, cache: BernoulliCache | None
-) -> str | None:
+def _formula_mismatch(ks: tuple[int, ...], expected: Fraction) -> str | None:
     """Name the formula over [0, 1] for len(ks) factors that disagrees with `expected`.
 
     None when every formula that applies agrees.  two_factor_formula and
@@ -233,14 +231,14 @@ def _formula_mismatch(
     formulas here are other sums.
     """
     r = len(ks)
-    if r == 2 and min(ks) >= 1 and norlund_value(*ks, cache) != expected:
+    if r == 2 and min(ks) >= 1 and norlund_value(*ks) != expected:
         return "norlund_value"
-    if r == 3 and min(ks) >= 1 and three_factor_at_one(*ks, cache=cache) != expected:
+    if r == 3 and min(ks) >= 1 and three_factor_at_one(*ks) != expected:
         return "three_factor_at_one"
-    if r == 4 and four_factor_at_one(*ks, cache=cache) != expected:
+    if r == 4 and four_factor_at_one(*ks) != expected:
         return "four_factor_at_one"
     if r == 4 and sum(ks) % 2 == 0:
-        if four_factor_even_sum(ks, cache) * _factorial_product(ks) != expected:
+        if four_factor_even_sum(ks) * _factorial_product(ks) != expected:
             return "four_factor_even_sum"
     return None
 
@@ -264,19 +262,18 @@ def verify_oracle(
     report = VerificationReport("oracle")
     start = time.perf_counter()
     rs = tuple(r_values) if r_values is not None else tuple(range(1, max_r + 1))
-    closed: dict[tuple[tuple[int, ...], Fraction], Fraction] = {}
+    closed: dict[tuple[int, ...], list[Fraction]] = {}
 
     for r in rs:
         for ks in _tuples_with_sum_at_most(r, max_sum, max_entry):
             anti = oracle_integral_poly(ks, cache)
             base = tuple(sorted(ks))
-            for upper in SWEEP_UPPERS:
+            if base not in closed:
+                closed[base] = [closed_form_integral(base, u) for u in SWEEP_UPPERS]
+            for upper, got in zip(SWEEP_UPPERS, closed[base]):
                 expected = anti(upper)
-                if (base, upper) not in closed:
-                    closed[base, upper] = closed_form_integral(base, upper, cache=cache)
-                got = closed[base, upper]
                 if got == expected and upper == 1:
-                    got = _formula_mismatch(ks, expected, cache) or got
+                    got = _formula_mismatch(ks, expected) or got
                 report.check(
                     got == expected, ks=list(ks), upper=upper, expected=expected, got=got
                 )
@@ -293,9 +290,7 @@ def verify_oracle(
 # ---------------------------------------------------------------------------
 
 
-def verify_symmetry(
-    max_r: int = 4, max_entry: int = 4, cache: BernoulliCache | None = None
-) -> VerificationReport:
+def verify_symmetry(max_r: int = 4, max_entry: int = 4) -> VerificationReport:
     """Closed form is invariant under every permutation of the index tuple.
 
     `closed_form_integral` sorts its indices, so each permutation is
@@ -309,14 +304,9 @@ def verify_symmetry(
         for base in itertools.combinations_with_replacement(range(max_entry + 1), r):
             perms = set(itertools.permutations(base))
             for upper in uppers:
-                reference = closed_form_integral(base, upper, cache=cache)
+                reference = closed_form_integral(base, upper)
                 bad = next(
-                    (
-                        p
-                        for p in perms
-                        if _closed_form_in_order(p, upper, cache=cache) != reference
-                    ),
-                    None,
+                    (p for p in perms if _closed_form_in_order(p, upper) != reference), None
                 )
                 report.check(
                     bad is None,
@@ -346,7 +336,7 @@ def verify_parity(
             for ks in compositions(total, (total,) * r):
                 base = tuple(sorted(ks))
                 if base not in closed:
-                    closed[base] = closed_form_integral(base, cache=cache)
+                    closed[base] = closed_form_integral(base)
                 got = oracle_integral_poly(ks, cache)(1) or closed[base]
                 report.check(got == 0, ks=list(ks), upper=1, expected=0, got=got)
     report.elapsed_s = time.perf_counter() - start
@@ -380,7 +370,7 @@ def verify_mu(
 
     for ks in chosen:
         upper = rng.choice(SWEEP_UPPERS)
-        expected = closed_form_integral(ks, upper, scaled=True, cache=cache)
+        expected = closed_form_integral(ks, upper, scaled=True)
         mu_max = sum(ks[:-1]) + 1
         bad = next(
             (
@@ -565,7 +555,6 @@ def verify_carlitz4(
     and the boundary class must vanish): the cases then sum to the triple
     sum, which equals the oracle, and that proves the printed value there.
     """
-    cache = cache or DEFAULT_CACHE
     report = VerificationReport("carlitz4")
     start = time.perf_counter()
 
@@ -577,19 +566,19 @@ def verify_carlitz4(
             count += 1
             expected = oracle_integral_poly(ks, cache)(1)
 
-            corrected = four_factor_at_one(*ks, cache=cache)
-            classes, class_den = _triple_class_sums(ks, cache)
+            corrected = four_factor_at_one(*ks)
+            classes, class_den = _triple_class_sums(ks)
             triple = Fraction(sum(classes.values()) * _factorial_product(ks), class_den)
 
             if ks[3] == 0:  # elsewhere the printed variant is the corrected one
-                if four_factor_at_one(*ks, variant="printed", cache=cache) != expected:
+                if four_factor_at_one(*ks, variant="printed") != expected:
                     printed_bad.append(ks)
 
             ok = corrected == expected and triple == expected
             detail = "corrected/triple-sum mismatch"
             if ok and ks[3] >= 1:
                 # the two sums have different denominators: compare across
-                cases, case_den = _four_factor_case_sums(ks, cache)
+                cases, case_den = _four_factor_case_sums(ks)
                 ok = (
                     all(
                         cases[c] * class_den == (classes[c] + classes["D"]) * case_den

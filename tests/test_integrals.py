@@ -5,6 +5,7 @@ integral_0^1 (x-1/2)^2 dx = 1/12 and integral_0^1 (x-1/2)^4 dx = 2*(1/2)^5/5
 = 1/80, or from the two-factor value (-1)^(k-1) k! l! / (k+l)! B_{k+l}.
 """
 
+import inspect
 import itertools
 import math
 import random
@@ -33,7 +34,8 @@ from bernint import (
     three_factor_formula,
     two_factor_formula,
 )
-from bernint import exact, integrals, kernels
+import bernint
+from bernint import exact, integrals, kernels, verify
 from bernint.bernoulli import Polynomial
 
 F = Fraction
@@ -428,6 +430,64 @@ class TestConcurrency:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors[0]
+
+
+class TestCacheScope:
+    """A BernoulliCache scopes the polynomial memo and the oracle memo only.
+
+    The value tables, the closed form and the formulas read DEFAULT_CACHE.
+    """
+
+    # the public callables that take a cache: each reads a per-cache memo,
+    # or passes its cache to one that does
+    TAKE_A_CACHE = {
+        bernint: {
+            "bernoulli_number",
+            "bernoulli_polynomial",
+            "closed_form_integral_poly",
+            "oracle_integral",
+            "oracle_integral_poly",
+            "recurrence_integral",
+        },
+        verify: {
+            "evaluate_table_expression",
+            "verify_carlitz4",
+            "verify_identities",
+            "verify_mu",
+            "verify_oracle",
+            "verify_parity",
+            "verify_table",
+        },
+    }
+
+    @pytest.mark.parametrize("module", [bernint, verify], ids=["bernint", "verify"])
+    def test_which_functions_take_a_cache(self, module):
+        takes = {
+            name
+            for name in module.__all__
+            if callable(obj := getattr(module, name))
+            and "cache" in inspect.signature(obj).parameters
+        }
+        assert takes == self.TAKE_A_CACHE[module]
+
+    def test_the_tables_do_not_grow_a_callers_cache(self, monkeypatch):
+        # from cold tables the closed form and the formulas grow the tables
+        # up to index 10 here; the caller's cache is read only as far as the
+        # oracle polynomials need, B_4
+        monkeypatch.setattr(integrals, "_zero_table", ([], []))
+        monkeypatch.setattr(integrals, "_tables_at", {})
+        cache = BernoulliCache()
+        number, read = cache.number, []
+
+        def spy(k):
+            read.append(k)
+            return number(k)
+
+        cache.number = spy
+        report = verify.verify_oracle(max_sum=4, max_r=2, cache=cache)
+        assert report.ok and report.attempted == (5 + 15) * 4
+        assert max(read) == 4
+        assert len(integrals._zero_table[0]) > 5  # the tables did grow
 
 
 class TestParity:
